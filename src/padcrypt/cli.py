@@ -125,9 +125,8 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     message = Path(args.infile).read_bytes()
     record = cipher.encrypt(message, code, pool, rng)
     Path(args.out).write_bytes(cipher.write_frame(record, code, rng))
-    print(f"encrypted: l={record.ciphertext.l} bits, key bits used "
-          f"{record.key_bits_used} (pool {record.pool_id} "
-          f"cursor {record.cursor_start}->{record.cursor_end})")
+    # only message-independent fields: s or a cursor delta would reveal |codeword|
+    print(f"encrypted: l={record.ciphertext.l} bits (pool {record.pool_id}) -> {args.out}")
     return EXIT_OK
 
 
@@ -137,7 +136,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     frame = Path(args.infile).read_bytes()
     message = cipher.decrypt(cipher.read_frame(frame, code), code, pool)
     Path(args.out).write_bytes(message)
-    print(f"decrypted {len(message)} bytes (pool cursor now {pool.cursor})")
+    print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 
 

@@ -67,7 +67,12 @@ class KeyPool:
                 + self.material.to_bytes())
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            os.write(fd, blob)
+            # the mode argument applies only on create; an existing file keeps its own
+            os.fchmod(fd, 0o600)
+            # os.write may write fewer bytes than asked (at most ~2 GiB on Linux)
+            view = memoryview(blob)
+            while view:
+                view = view[os.write(fd, view):]
         finally:
             os.close(fd)
 

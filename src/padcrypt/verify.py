@@ -8,12 +8,12 @@ complement.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TextIO
-
-from scipy.stats import chisquare
 
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, encode
@@ -171,23 +171,17 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     if pad_rng is None:
         pad_rng = rng
 
-    cum: list[tuple[float, bytes]] = []
-    acc = 0.0
-    for m, p in zip(space.messages, space.probs):
-        acc += float(p)
-        cum.append((acc, m))
+    bounds = list(itertools.accumulate(float(p) for p in space.probs))
+    last = len(bounds) - 1
 
     counts = [0] * (2 ** l)
     for _ in range(trials):
         if fixed_message is not None:
             m = fixed_message
         else:
-            u = rng.uniform()
-            m = cum[-1][1]
-            for bound, msg in cum:
-                if u < bound:
-                    m = msg
-                    break
+            # first bound above u; float dust past the last bound picks the last message
+            i = bisect.bisect_right(bounds, rng.uniform())
+            m = space.messages[min(i, last)]
         x = encode(code, m)
         s = len(x)
         y = x.xor(rng.bits(s))
@@ -197,6 +191,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     insufficient = trials < CHI_SQUARE_MIN_PER_BIN * 2 ** l
     if trials == 0:
         return UniformityReport(l, 0, None, None, True, counts)
+    # imported here so that importing padcrypt (every CLI call) never loads scipy
+    from scipy.stats import chisquare
     stat, p = chisquare(counts)
     return UniformityReport(l, trials, float(stat), float(p), insufficient, counts)
 

@@ -1,9 +1,14 @@
 import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padcrypt import cli
+import padcrypt
+from padcrypt import cli, codec
 from padcrypt.cli import main, parse_space_file
 from padcrypt.errors import PadcryptError
 
@@ -116,6 +121,47 @@ def test_encrypt_consumes_key_on_disk(tmp_path, capsys):
     capsys.readouterr()
     main(["audit", "--key", key])
     assert "cursor     2" in capsys.readouterr().out
+
+
+def test_stdout_does_not_depend_on_the_message(tmp_path, capsys):
+    # "a" and "c" get codewords of different lengths, so printing s or a
+    # cursor delta would tell them apart
+    space = write(tmp_path, "space.txt", SPACE_122)
+    book = str(tmp_path / "codebook")
+    main(["build-code", "--space", space, "--out", book])
+    with open(book) as f:
+        code, _ = codec.load_codebook(f)
+    assert len(codec.encode(code, b"a")) != len(codec.encode(code, b"c"))
+    key = str(tmp_path / "k.pool")
+    main(["keygen", "64", "--out", key, "--rng", "seeded:9", "--insecure-test"])
+    frame, msg, msg_out = (str(tmp_path / n) for n in ("frame", "msg", "msg.out"))
+    enc_out, dec_out = [], []
+    for i, message in enumerate((b"a", b"c")):
+        alice, bob = (str(tmp_path / f"{who}{i}.pool") for who in ("alice", "bob"))
+        shutil.copyfile(key, alice)
+        shutil.copyfile(key, bob)
+        (tmp_path / "msg").write_bytes(message)
+        capsys.readouterr()
+        assert main(["encrypt", "--code", book, "--key", alice,
+                     "--in", msg, "--out", frame, "--rng", "seeded:4"]) == 0
+        enc_out.append(capsys.readouterr().out)
+        assert main(["decrypt", "--code", book, "--key", bob,
+                     "--in", frame, "--out", msg_out]) == 0
+        dec_out.append(capsys.readouterr().out)
+        assert (tmp_path / "msg.out").read_bytes() == message
+    assert enc_out[0] == enc_out[1]
+    assert dec_out[0] == dec_out[1]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, padcrypt, padcrypt.cli; "
+             "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_perfect_and_leaky(tmp_path, capsys):

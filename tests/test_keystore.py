@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from padcrypt import KeyPool, SeededRandomSource, generate_pool
@@ -121,3 +123,21 @@ def test_pool_file_permissions(tmp_path):
     path = tmp_path / "k.pool"
     pool.save(path)
     assert (path.stat().st_mode & 0o777) == 0o600
+    # saving over an existing, world-readable file tightens it too
+    existing = tmp_path / "old.pool"
+    existing.write_bytes(b"")
+    os.chmod(existing, 0o644)
+    pool.save(existing)
+    assert (existing.stat().st_mode & 0o777) == 0o600
+
+
+def test_save_survives_short_writes(tmp_path, monkeypatch):
+    pool = generate_pool(300, SeededRandomSource(11))
+    pool.take(17)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    path = tmp_path / "k.pool"
+    pool.save(path)
+    loaded = KeyPool.load(path)
+    assert loaded.material == pool.material
+    assert loaded.cursor == 17

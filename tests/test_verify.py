@@ -180,6 +180,46 @@ def test_empirical_uniformity_flags_small_samples():
     assert rep.insufficient_data
 
 
+def test_empirical_uniformity_sampling_matches_linear_scan():
+    # ten float tenths accumulate to 1 - 2**-53, so the edge draw below sits
+    # exactly on the last bound and must fall back to the last message
+    space = pc.MessageSpace([bytes([i]) for i in range(10)], [0.1] * 10)
+    code = pc.build_huffman(space)
+    edge = math.nextafter(1.0, 0.0)
+    assert edge >= sum([0.1] * 10)
+
+    class EdgeDraws(pc.SeededRandomSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+
+        def uniform(self):
+            self.draws += 1
+            return edge if self.draws % 7 == 0 else super().uniform()
+
+    def linear_scan_counts(rng, trials):
+        cum, acc = [], 0.0
+        for m, p in zip(space.messages, space.probs):
+            acc += float(p)
+            cum.append((acc, m))
+        l = code.max_len
+        counts = [0] * (2 ** l)
+        for _ in range(trials):
+            u = rng.uniform()
+            m = cum[-1][1]
+            for bound, msg in cum:
+                if u < bound:
+                    m = msg
+                    break
+            x = pc.encode(code, m)
+            e = x.xor(rng.bits(len(x))) + rng.bits(l - len(x))
+            counts[e.value] += 1
+        return counts
+
+    rep = pc.empirical_uniformity(space, code, EdgeDraws(31), 5_000)
+    assert rep.counts == linear_scan_counts(EdgeDraws(31), 5_000)
+
+
 # --- leak mutual information ---------------------------------------------
 
 def test_leak_uneven_lengths():
