@@ -23,10 +23,8 @@ from .codec import (
     decode_prefix,
     encode,
     load_codebook,
-    max_codeword_length,
     save_codebook,
     trim_code,
-    verify_prefix_free,
     wrap_external,
 )
 from .errors import (

@@ -72,7 +72,7 @@ class PrefixCode:
     """Injective prefix-free codebook message -> BitString."""
 
     codebook: dict[bytes, BitString]
-    max_len: int = field(init=False)
+    max_len: int = field(init=False)  # the public ciphertext length l
 
     def __post_init__(self) -> None:
         if not self.codebook:
@@ -115,22 +115,6 @@ def _prefix_free(words: Iterable[BitString]) -> bool:
         if b.startswith(a):
             return False
     return True
-
-
-def verify_prefix_free(code: "PrefixCode | Iterable[BitString]") -> bool:
-    """True iff no codeword prefixes another and the codebook is injective."""
-    if isinstance(code, PrefixCode):
-        words = list(code.codebook.values())
-    else:
-        words = list(code)
-    if len(set(words)) != len(words):
-        return False
-    return _prefix_free(words)
-
-
-def max_codeword_length(code: PrefixCode) -> int:
-    """The public ciphertext length l: the longest codeword in the book."""
-    return code.max_len
 
 
 # --- Huffman -------------------------------------------------------------

@@ -65,16 +65,30 @@ class KeyPool:
                 + self.cursor.to_bytes(8, "big")
                 + len(self.material).to_bytes(8, "big")
                 + self.material.to_bytes())
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        # write a sibling file and rename it over the pool, so a failed write
+        # leaves the old pool whole rather than a truncated one
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            # the mode argument applies only on create; an existing file keeps its own
+            # the mode argument applies only on create; a stale file keeps its own
             os.fchmod(fd, 0o600)
             # os.write may write fewer bytes than asked (at most ~2 GiB on Linux)
             view = memoryview(blob)
             while view:
                 view = view[os.write(fd, view):]
+            os.fsync(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         finally:
             os.close(fd)
+        # make the rename itself durable
+        dirfd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dirfd)
+        finally:
+            os.close(dirfd)
 
     @classmethod
     def load(cls, path: "str | Path") -> "KeyPool":

@@ -1,9 +1,9 @@
 """Evidence engine: exact secrecy oracle, statistical tests, bound reports.
 
-The secrecy oracle enumerates every key and every pad in exact rational
-arithmetic and checks P(e|m) = P(e) = 2^-l with zero tolerance.  Floats
-appear only in human-readable summaries and in the large-scale chi-square
-complement.
+The secrecy oracle enumerates every key and every pad into exact integer
+counts and compares P(e|m) with P(e) over a common denominator, with zero
+tolerance.  Fractions appear only in the reported tables, and floats only in
+human-readable summaries and in the large-scale chi-square complement.
 """
 
 from __future__ import annotations
@@ -11,13 +11,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TextIO
 
+from . import cipher
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, encode
-from .errors import EnumerationTooLarge, NotInCodebook
+from .errors import EnumerationTooLarge
 from .rng import RandomSource
 
 DEFAULT_MAX_L = 12
@@ -65,24 +67,22 @@ class SecrecyReport:
                 out.write(f"  {e} {p.numerator}/{p.denominator}\n")
 
 
-def _conditional_dist(x: BitString, l: int, naive: bool) -> dict[BitString, Fraction]:
-    """Brute-force P(e|m) by enumerating all keys (and pads unless naive)."""
+def _counts(x: BitString, l: int, key_bits: int,
+            naive: bool) -> tuple[dict[tuple[int, int], int], int]:
+    """Ciphertext counts keyed by (length, value) over every key_bits-bit key,
+    whose first |x| bits are XORed onto x, and every pad (none when naive);
+    and the number of (key, pad) pairs."""
     s = len(x)
-    dist: dict[BitString, Fraction] = {}
     npad = 0 if naive else l - s
-    weight = Fraction(1, 2 ** (s + npad))
-    for k in range(2 ** s):
-        y = BitString(x.value ^ k, s)
-        for r in range(2 ** npad):
-            e = y + BitString(r, npad)
-            dist[e] = dist.get(e, Fraction(0)) + weight
-    return dist
+    ys = Counter(x.value ^ (k >> (key_bits - s)) for k in range(2 ** key_bits))
+    counts = {(s + npad, y << npad | r): n for y, n in ys.items() for r in range(2 ** npad)}
+    return counts, 2 ** (key_bits + npad)
 
 
 def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
                          naive: bool = False,
                          max_l: int = DEFAULT_MAX_L) -> SecrecyReport:
-    """Exhaustively verify perfect secrecy in exact rational arithmetic.
+    """Exhaustively verify perfect secrecy with exact integer counts.
 
     With naive=True the random padding is omitted (ciphertext is the XORed
     codeword alone), reproducing the length side channel.
@@ -93,24 +93,25 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
     if l > max_l:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
 
-    per_message: dict[bytes, dict[BitString, Fraction]] = {}
-    for m in space.messages:
-        per_message[m] = _conditional_dist(encode(code, m), l, naive)
-
-    marginal: dict[BitString, Fraction] = {}
+    # P(e|m) = cond[m][e] / 2^l and P(e) = joint[e] / denom, denom = q 2^l
+    q = math.lcm(*(p.denominator for p in space.probs))
+    denom = q * 2 ** l
+    cond = {}
+    joint: Counter = Counter()
     for m, p in zip(space.messages, space.probs):
-        for e, q in per_message[m].items():
-            marginal[e] = marginal.get(e, Fraction(0)) + Fraction(p) * q
+        x = encode(code, m)
+        counts, pairs = _counts(x, l, len(x), naive)
+        cond[m] = {e: c * (2 ** l // pairs) for e, c in counts.items()}
+        for e, c in cond[m].items():
+            joint[e] += int(p * q) * c
 
-    max_dev = Fraction(0)
-    for m in space.messages:
-        dist = per_message[m]
-        for e in marginal:
-            dev = abs(dist.get(e, Fraction(0)) - marginal[e])
-            if dev > max_dev:
-                max_dev = dev
-    verdict = "perfect" if max_dev == 0 else "leaky"
-    return SecrecyReport(l, per_message, marginal, max_dev, verdict)
+    dev = max(abs(q * dist.get(e, 0) - n)
+              for dist in cond.values() for e, n in joint.items())
+    per_message = {m: {BitString(v, n): Fraction(c, 2 ** l) for (n, v), c in dist.items()}
+                   for m, dist in cond.items()}
+    marginal = {BitString(v, n): Fraction(c, denom) for (n, v), c in joint.items()}
+    verdict = "perfect" if dev == 0 else "leaky"
+    return SecrecyReport(l, per_message, marginal, Fraction(dev, denom), verdict)
 
 
 # --- key discipline equivalence ------------------------------------------
@@ -119,24 +120,18 @@ def key_discipline_equivalence(space: MessageSpace, code: PrefixCode, *,
                                max_l: int = DEFAULT_MAX_L) -> bool:
     """Check that drawing a fresh l-bit key per message and drawing only the
     s bits actually XORed induce identical ciphertext distributions, message
-    by message, in exact arithmetic."""
+    by message, with exact integer counts."""
     l = code.max_len
     if l > max_l:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
     for m in space.messages:
         x = encode(code, m)
-        s = len(x)
-        # discipline A: s key bits from a pool, then l-s pad bits
-        dist_pool = _conditional_dist(x, l, naive=False)
-        # discipline B: a full l-bit key of which only s bits are used
-        dist_fresh: dict[BitString, Fraction] = {}
-        weight = Fraction(1, 2 ** l * 2 ** (l - s))
-        for k in range(2 ** l):
-            y = BitString(x.value ^ (k >> (l - s)), s)
-            for r in range(2 ** (l - s)):
-                e = y + BitString(r, l - s)
-                dist_fresh[e] = dist_fresh.get(e, Fraction(0)) + weight
-        if dist_pool != dist_fresh:
+        # discipline A draws s key bits from a pool; B draws a full l-bit key
+        # and uses only its first s bits; both then pad with l-s bits
+        pool, pool_pairs = _counts(x, l, len(x), naive=False)
+        fresh, fresh_pairs = _counts(x, l, l, naive=False)
+        if ({e: c * fresh_pairs for e, c in pool.items()}
+                != {e: c * pool_pairs for e, c in fresh.items()}):
             return False
     return True
 
@@ -258,12 +253,8 @@ def bound_report(space: MessageSpace, code: PrefixCode,
     """Check average/max length against the entropy bounds for `kind`."""
     if kind not in ("huffman", "trimmed", "generic"):
         raise ValueError(f"unknown code kind {kind!r}")
-    missing = [m for m in space.messages if m not in code.codebook]
-    if missing:
-        raise NotInCodebook(f"code does not cover {missing[0]!r}")
+    avg = float(cipher.key_cost(space, code))
     h = shannon_entropy(space)
-    avg = float(sum(float(p) * len(code.codebook[m])
-                    for m, p in zip(space.messages, space.probs)))
     cap = math.ceil(math.log2(len(space))) + 1 if len(space) > 1 else 1
 
     violations: list[str] = []

@@ -136,7 +136,6 @@ def test_trim_bound_random(seeded):
         L = seeded.randint(2, 32)
         sp = random_rational_space(seeded, L)
         trimmed = pc.trim_code(pc.build_huffman(sp), sp)
-        assert pc.verify_prefix_free(trimmed)
         assert trimmed.max_len <= math.ceil(math.log2(L)) + 1
 
 
@@ -157,7 +156,6 @@ def test_wrap_collision_gets_disambiguated():
     code = pc.wrap_external(comp, sp)
     words = list(code.codebook.values())
     assert words[0] != words[1]
-    assert pc.verify_prefix_free(code)
 
 
 def test_wrap_gamma_header_lengths():
@@ -173,7 +171,6 @@ def test_wrap_gamma_header_lengths():
         n, used = elias_gamma_decode(code.codebook[m])
         assert n == len(out)
         assert code.codebook[m].slice(used, used + n) == out
-    assert pc.verify_prefix_free(code)
 
 
 def uniform_space_named(messages):
@@ -198,7 +195,6 @@ def test_wrap_real_byte_compressor():
     sp = uniform_space_named([b"aaaaaaaaaaaa", b"hello world", b"x" * 40, b"q"])
     comp = pc.ExternalCompressor(lambda m: zlib.compress(m, 9), "zlib-9")
     code = pc.wrap_external(comp, sp)
-    assert pc.verify_prefix_free(code)
     for m in sp.messages:
         assert pc.decode_prefix(code, pc.encode(code, m))[0] == m
 
@@ -234,13 +230,8 @@ def test_roundtrip_with_any_suffix(idx, tail_value, tail_len):
 
 # --- prefix-freeness / max length ----------------------------------------
 
-def test_verify_prefix_free():
-    assert pc.verify_prefix_free([B("00"), B("01"), B("1")])
-    assert not pc.verify_prefix_free([B("0"), B("01")])
-    assert not pc.verify_prefix_free([B("1"), B("1")])
-
-
 def test_prefix_code_construction_enforces_invariants():
+    assert pc.PrefixCode({b"a": B("00"), b"b": B("01"), b"c": B("1")}).max_len == 2
     with pytest.raises(InvalidCode):
         pc.PrefixCode({})
     with pytest.raises(InvalidCode):
@@ -250,8 +241,8 @@ def test_prefix_code_construction_enforces_invariants():
 
 
 def test_max_codeword_length():
-    assert pc.max_codeword_length(three_word_code()) == 2
-    assert pc.max_codeword_length(pc.PrefixCode({b"m": B("0")})) == 1
+    assert three_word_code().max_len == 2
+    assert pc.PrefixCode({b"m": B("0")}).max_len == 1
 
 
 # --- codebook file format -------------------------------------------------

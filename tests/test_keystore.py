@@ -141,3 +141,23 @@ def test_save_survives_short_writes(tmp_path, monkeypatch):
     loaded = KeyPool.load(path)
     assert loaded.material == pool.material
     assert loaded.cursor == 17
+
+
+def test_failed_save_keeps_the_old_pool(tmp_path, monkeypatch):
+    pool = generate_pool(64, SeededRandomSource(13))
+    pool.take(5)
+    path = tmp_path / "k.pool"
+    pool.save(path)
+    pool.backing_path = path
+
+    def no_space(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", no_space)
+    with pytest.raises(OSError):
+        pool.take(8)
+    monkeypatch.undo()
+    loaded = KeyPool.load(path)
+    assert loaded.material == pool.material
+    assert loaded.cursor == 5
+    assert os.listdir(tmp_path) == ["k.pool"]

@@ -6,7 +6,8 @@ import pytest
 
 import padcrypt as pc
 from padcrypt.bits import BitString
-from padcrypt.errors import EnumerationTooLarge
+from padcrypt.errors import EnumerationTooLarge, NotInCodebook
+from padcrypt.verify import DEFAULT_MAX_L
 
 B = BitString.from_str
 
@@ -110,6 +111,46 @@ def test_report_text_output():
     assert "1/2" in text  # rationals serialized as num/den
 
 
+def test_report_text_golden_naive_zero_probability():
+    # Naive (1, 2, 2) code, P = (1, 0, 0), l = 2.  Worked by hand:
+    #   m0 "0":  keys 0, 1 give e = 0, 1, each 1/2
+    #   m1 "10": keys 00..11 give e = 10, 11, 00, 01, each 1/4; m2 "11" alike
+    #   P(e) = 1 * P(e|m0): 1/2 for e = 0, 1; the four 2-bit ciphertexts come
+    #   only from zero-probability messages, so their rows stay as 0/1
+    #   max |P(e|m) - P(e)| = |P(0|m1) - P(0)| = 1/2, so the verdict is leaky
+    # Rows are sorted as strings: 0 < 00 < 01 < 1 < 10 < 11.
+    expected = (
+        "l 2\n"
+        "verdict leaky\n"
+        "max_deviation 1/2\n"
+        "table marginal\n"
+        "  0 1/2\n"
+        "  00 0/1\n"
+        "  01 0/1\n"
+        "  1 1/2\n"
+        "  10 0/1\n"
+        "  11 0/1\n"
+        "table conditional 00\n"
+        "  0 1/2\n"
+        "  1 1/2\n"
+        "table conditional 01\n"
+        "  00 1/4\n"
+        "  01 1/4\n"
+        "  10 1/4\n"
+        "  11 1/4\n"
+        "table conditional 02\n"
+        "  00 1/4\n"
+        "  01 1/4\n"
+        "  10 1/4\n"
+        "  11 1/4\n"
+    )
+    sp = pc.MessageSpace([b"\x00", b"\x01", b"\x02"],
+                         [Fraction(1), Fraction(0), Fraction(0)])
+    buf = io.StringIO()
+    pc.exact_secrecy_oracle(sp, uneven_code(), naive=True).write_text(buf)
+    assert buf.getvalue() == expected
+
+
 # --- key discipline equivalence ------------------------------------------
 
 def test_discipline_equivalence_uneven_code():
@@ -119,6 +160,18 @@ def test_discipline_equivalence_uneven_code():
 def test_discipline_equivalence_when_s_equals_l():
     code = pc.PrefixCode({b"\x00": B("00"), b"\x01": B("01"), b"\x02": B("10")})
     assert pc.key_discipline_equivalence(uniform_space(3), code)
+
+
+def test_exact_checks_at_the_default_budget():
+    # P = 2^-1, ..., 2^-12, 2^-12: Huffman lengths 1..12, 12, so l = 12
+    L = 13
+    probs = [Fraction(1, 2 ** (i + 1)) for i in range(L - 1)] + [Fraction(1, 2 ** (L - 1))]
+    sp = pc.MessageSpace([bytes([i]) for i in range(L)], probs)
+    code = pc.build_huffman(sp)
+    assert code.max_len == DEFAULT_MAX_L
+    assert pc.exact_secrecy_oracle(sp, code).perfect
+    assert pc.exact_secrecy_oracle(sp, code, naive=True).verdict == "leaky"
+    assert pc.key_discipline_equivalence(sp, code)
 
 
 def test_discipline_equivalence_budget():
@@ -283,3 +336,9 @@ def test_bound_report_flags_violation():
                               for i, m in enumerate(sp.messages)})
     rep = pc.bound_report(sp, wasteful, "huffman")
     assert not rep.ok
+
+
+def test_bound_report_uncovered_space():
+    sp = pc.MessageSpace([b"zz"], [Fraction(1)])
+    with pytest.raises(NotInCodebook):
+        pc.bound_report(sp, uneven_code())
