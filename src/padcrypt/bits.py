@@ -118,13 +118,11 @@ def elias_gamma(n: int) -> BitString:
 
 def elias_gamma_decode(stream: BitString) -> tuple[int, int]:
     """Decode a gamma code from the head of stream: (n, bits consumed)."""
-    zeros = 0
-    while zeros < len(stream) and stream[zeros] == 0:
-        zeros += 1
+    zeros = len(stream) - stream.value.bit_length()
     consumed = 2 * zeros + 1
     if consumed > len(stream):
         raise ValueError("truncated gamma code")
-    return stream.slice(zeros, consumed).value, consumed
+    return stream.prefix(consumed).value, consumed
 
 
 def fixed_width(i: int, width: int) -> BitString:

@@ -17,7 +17,6 @@ from .errors import (
     DecryptionFailed,
     KeyExhausted,
     NotACodeword,
-    NotInCodebook,
     WireFormatError,
 )
 from .keystore import KeyPool
@@ -83,10 +82,7 @@ def decrypt(c: Ciphertext, code: PrefixCode, pool: KeyPool) -> bytes:
 
 def key_cost(space: MessageSpace, code: PrefixCode) -> "float":
     """Expected secret-key bits consumed per message: sum P(m) * |codeword|."""
-    missing = [m for m in space.messages if m not in code.codebook]
-    if missing:
-        raise NotInCodebook(f"code does not cover {missing[0]!r}")
-    return sum(p * len(code.codebook[m])
+    return sum(p * len(encode(code, m))
                for m, p in zip(space.messages, space.probs))
 
 

@@ -52,7 +52,7 @@ def parse_space_file(text: str) -> MessageSpace:
                 msg = b"" if token == "-" else bytes.fromhex(token)
             probs.append(Fraction(prob_token.strip()))
             messages.append(msg)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise PadcryptError(f"space file line {lineno}: {exc}") from None
     return MessageSpace(messages, probs)
 
@@ -172,7 +172,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"messages            {len(space)}")
     print(f"entropy_bits        {rep.entropy:.6f}")
     print(f"average_length      {rep.average_length:.6f}")
-    print(f"expected_key_bits   {float(cipher.key_cost(space, code)):.6f}")
+    print(f"expected_key_bits   {rep.average_length:.6f}")
     print(f"max_length          {rep.max_length}")
     print(f"length_cap          {rep.length_cap}")
     print(f"naive_length_leak   {leak.mutual_information:.6f}")
@@ -256,10 +256,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PadcryptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (PadcryptError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,7 @@ import math
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .bits import BitString, elias_gamma, fixed_width
 from .errors import (
@@ -73,19 +73,27 @@ class PrefixCode:
 
     codebook: dict[bytes, BitString]
     max_len: int = field(init=False)  # the public ciphertext length l
+    # (length, value) -> message, the one lookup behind validation and
+    # decoding, and the code's distinct codeword lengths in ascending order
+    _table: dict[tuple[int, int], bytes] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.codebook:
             raise InvalidCode("empty codebook")
-        words = list(self.codebook.values())
-        if len(set(words)) != len(words):
+        table = {(w.length, w.value): m for m, w in self.codebook.items()}
+        if len(table) != len(self.codebook):
             raise InvalidCode("codebook is not injective")
-        if not _prefix_free(words):
-            raise InvalidCode("codeword set is not prefix-free")
-        object.__setattr__(self, "max_len", max(len(w) for w in words))
-        # decoder lookup: (length, value) -> message
-        lut = {(w.length, w.value): m for m, w in self.codebook.items()}
-        object.__setattr__(self, "_lut", lut)
+        lengths = tuple(sorted({n for n, _ in table}))
+        # each word looks up its prefixes at the shorter lengths only, so the
+        # work stays within the total codeword bits
+        for n, v in table:
+            for k in lengths[:lengths.index(n)]:
+                if (k, v >> (n - k)) in table:
+                    raise InvalidCode("codeword set is not prefix-free")
+        object.__setattr__(self, "max_len", lengths[-1])
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_lengths", lengths)
 
     def __contains__(self, m: bytes) -> bool:
         return m in self.codebook
@@ -107,14 +115,6 @@ class ExternalCompressor:
         if isinstance(out, BitString):
             return out
         return BitString.from_bytes(bytes(out))
-
-
-def _prefix_free(words: Iterable[BitString]) -> bool:
-    ordered = sorted(words, key=str)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a):
-            return False
-    return True
 
 
 # --- Huffman -------------------------------------------------------------
@@ -231,14 +231,13 @@ def encode(code: PrefixCode, m: bytes) -> BitString:
 
 def decode_prefix(code: PrefixCode, stream: BitString) -> tuple[bytes, int]:
     """Return the unique message whose codeword prefixes stream, plus its length."""
-    lut = code._lut  # type: ignore[attr-defined]
-    acc = 0
-    limit = min(len(stream), code.max_len)
-    for i in range(limit):
-        acc = (acc << 1) | stream[i]
-        m = lut.get((i + 1, acc))
+    size = len(stream)
+    for n in code._lengths:
+        if n > size:
+            break
+        m = code._table.get((n, stream.value >> (size - n)))
         if m is not None:
-            return m, i + 1
+            return m, n
     raise NotACodeword(f"no codeword prefixes {stream}")
 
 
@@ -287,8 +286,11 @@ def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
         entries.append((idx, msg, word))
     if len(entries) != count or [e[0] for e in entries] != list(range(count)):
         raise CodebookFormatError("record indices do not match header count")
+    codebook = {m: w for _, m, w in entries}
+    if len(codebook) != count:
+        raise CodebookFormatError("a message is listed more than once")
     try:
-        code = PrefixCode({m: w for _, m, w in entries})
+        code = PrefixCode(codebook)
     except InvalidCode as exc:
         raise CodebookFormatError(str(exc)) from None
     return code, codec_name

@@ -102,7 +102,10 @@ class KeyPool:
         off = 6 + idlen
         if len(blob) < off + 16:
             raise PoolFormatError(f"{path}: truncated header")
-        ident = blob[6:off].decode()
+        try:
+            ident = blob[6:off].decode()
+        except UnicodeDecodeError:
+            raise PoolFormatError(f"{path}: pool id is not UTF-8") from None
         cursor = int.from_bytes(blob[off:off + 8], "big")
         nbits = int.from_bytes(blob[off + 8:off + 16], "big")
         material_bytes = blob[off + 16:]

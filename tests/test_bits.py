@@ -83,6 +83,12 @@ def test_gamma_roundtrip(n):
     assert (decoded, used) == (n, len(code))
 
 
+@pytest.mark.parametrize("stream", ["", "0", "000", "0000000", "001", "00010"])
+def test_gamma_decode_rejects_truncated_streams(stream):
+    with pytest.raises(ValueError, match="truncated gamma code"):
+        elias_gamma_decode(BitString.from_str(stream))
+
+
 def test_gamma_is_prefix_free_up_to_64():
     codes = [str(elias_gamma(n)) for n in range(1, 65)]
     for i, a in enumerate(codes):

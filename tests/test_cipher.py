@@ -5,7 +5,7 @@ import pytest
 
 import padcrypt as pc
 from padcrypt.bits import BitString
-from padcrypt.cipher import Ciphertext, read_frame, write_frame
+from padcrypt.cipher import Ciphertext, code_fingerprint, read_frame, write_frame
 from padcrypt.errors import (
     DecryptionFailed,
     KeyExhausted,
@@ -141,7 +141,7 @@ def test_key_cost():
 
 def test_key_cost_uncovered_space():
     sp = pc.MessageSpace([b"zz"], [Fraction(1)])
-    with pytest.raises(NotInCodebook):
+    with pytest.raises(NotInCodebook, match="has no codeword"):
         pc.key_cost(sp, three_word_code())
 
 
@@ -154,6 +154,19 @@ def test_frame_roundtrip():
     rec = pc.encrypt(b"m0", code, pool, rng)
     blob = write_frame(rec, code, rng)
     assert read_frame(blob, code).bits == rec.ciphertext.bits
+
+
+def test_code_fingerprint_is_pinned_and_order_free():
+    # sha256 over the sorted "message-hex:codeword" lines, first 8 bytes; the
+    # wire header carries it, so a change here breaks every stored frame
+    pinned = bytes.fromhex("8691cbfd36565ac6")
+    code = three_word_code()
+    assert code_fingerprint(code) == pinned
+    reordered = pc.PrefixCode({b"m2": B("1"), b"m1": B("01"), b"m0": B("00")})
+    assert code_fingerprint(reordered) == pinned
+    rng = pc.SeededRandomSource(3)
+    blob = write_frame(pc.encrypt(b"m2", code, pool_with("1"), rng), code, rng)
+    assert blob[:17] == b"PCWF\x01" + pinned + (2).to_bytes(4, "big")
 
 
 def test_frame_rejects_other_codebook():

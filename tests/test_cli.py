@@ -240,3 +240,22 @@ def test_key_exhaustion_surfaces(tmp_path, capsys):
                  "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
                  "--rng", "seeded:4"]) == 2
     assert "KeyExhausted" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_space_file_is_an_error_line(tmp_path, capsys):
+    space = write(tmp_path, "space.txt", '"a" 1/0\n"b" 1/2\n')
+    assert main(["build-code", "--space", space,
+                 "--out", str(tmp_path / "codebook")]) == 2
+    assert capsys.readouterr().err.startswith("ERROR PadcryptError: space file line 1:")
+
+
+def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    key = str(tmp_path / "k.pool")
+    assert main(["keygen", "64", "--out", key,
+                 "--rng", "seeded:1", "--insecure-test"]) == 0
+    blob = bytearray((tmp_path / "k.pool").read_bytes())
+    blob[6] = 0xFF  # first byte of the pool id
+    (tmp_path / "k.pool").write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["audit", "--key", key]) == 2
+    assert capsys.readouterr().err.startswith("ERROR PoolFormatError:")

@@ -228,6 +228,72 @@ def test_roundtrip_with_any_suffix(idx, tail_value, tail_len):
     assert pc.decode_prefix(code, word + tail) == (m, len(word))
 
 
+def decode_bit_by_bit(code, stream):
+    """Reference decoder: grow a prefix one bit at a time until it is a word."""
+    by_word = {str(w): m for m, w in code.codebook.items()}
+    bits = str(stream)
+    for n in range(min(len(bits), code.max_len) + 1):
+        if bits[:n] in by_word:
+            return by_word[bits[:n]], n
+    return None
+
+
+def relabel(code, rng):
+    """Swap the two children of random nodes of the code tree.
+
+    Flipping bit i of every word exactly when a fixed random choice for the
+    prefix before it says so keeps the set prefix-free, but leaves the
+    canonical order behind.
+    """
+    flips = {}
+
+    def flip(word):
+        bits = str(word)
+        out = [str(int(b) ^ flips.setdefault(bits[:i], rng.randint(0, 1)))
+               for i, b in enumerate(bits)]
+        return B("".join(out))
+
+    return pc.PrefixCode({m: flip(w) for m, w in code.codebook.items()})
+
+
+def test_decode_prefix_matches_bit_by_bit_reference(seeded):
+    import zlib
+    codes = [
+        three_word_code(),
+        pc.PrefixCode({b"a": B("1"), b"b": B("01"), b"c": B("000"), b"d": B("001")}),
+        pc.PrefixCode({b"a": B("110"), b"b": B("0"), b"c": B("10"), b"d": B("111")}),
+        # a gap in the lengths, and an incomplete code (Kraft sum < 1)
+        pc.PrefixCode({b"a": B("0"), b"b": B("10"), b"c": B("1100"), b"d": B("111")}),
+        pc.PrefixCode({b"a": B("01"), b"b": B("1110")}),
+        pc.PrefixCode({b"only": BitString.empty()}),
+    ]
+    for _ in range(30):
+        L = seeded.randint(2, 24)
+        sp = random_rational_space(seeded, L)
+        huffman = pc.build_huffman(sp)
+        codes += [huffman, pc.trim_code(huffman, sp), relabel(huffman, seeded)]
+    sp = uniform_space_named([b"aaaaaaaaaaaa", b"hello world", b"x" * 40, b"q", b""])
+    codes.append(pc.wrap_external(
+        pc.ExternalCompressor(lambda m: zlib.compress(m, 9), "zlib-9"), sp))
+    codes.append(pc.wrap_external(
+        pc.ExternalCompressor(lambda m: bytes([len(m) % 3]), "collide"), sp))
+
+    for code in codes:
+        l = code.max_len
+        streams = [w + BitString(seeded.getrandbits(n), n)
+                   for w in code.codebook.values() for n in (0, 1, 5)]
+        for n in [*range(l), l, l + 1, l + 7]:
+            streams += [BitString(seeded.getrandbits(n), n) for _ in range(4)]
+            streams += [BitString(0, n), BitString((1 << n) - 1, n)]
+        for stream in streams:
+            expected = decode_bit_by_bit(code, stream)
+            if expected is None:
+                with pytest.raises(NotACodeword, match=f"no codeword prefixes {stream}$"):
+                    pc.decode_prefix(code, stream)
+            else:
+                assert pc.decode_prefix(code, stream) == expected
+
+
 # --- prefix-freeness / max length ----------------------------------------
 
 def test_prefix_code_construction_enforces_invariants():
@@ -238,6 +304,26 @@ def test_prefix_code_construction_enforces_invariants():
         pc.PrefixCode({b"a": B("0"), b"b": B("01")})
     with pytest.raises(InvalidCode):
         pc.PrefixCode({b"a": B("1"), b"b": B("1")})
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text("01", max_size=5), max_size=8))
+def test_prefix_code_accepts_exactly_the_prefix_free_injective_books(words):
+    book = {bytes([i]): B(w) for i, w in enumerate(words)}
+    pairs = [(a, b) for i, a in enumerate(words) for j, b in enumerate(words) if i != j]
+    if not words:
+        expected = "empty codebook"
+    elif any(a == b for a, b in pairs):
+        expected = "codebook is not injective"
+    elif any(b.startswith(a) for a, b in pairs):
+        expected = "codeword set is not prefix-free"
+    else:
+        code = pc.PrefixCode(book)
+        assert code.codebook == book
+        assert code.max_len == max(map(len, words))
+        return
+    with pytest.raises(InvalidCode, match=f"^{expected}$"):
+        pc.PrefixCode(book)
 
 
 def test_max_codeword_length():
@@ -264,6 +350,12 @@ def test_codebook_empty_message_roundtrip():
     buf.seek(0)
     loaded, _ = pc.load_codebook(buf)
     assert loaded.codebook == code.codebook
+
+
+def test_codebook_rejects_a_message_listed_twice():
+    text = "padcrypt-codebook 1 custom 2\n0 61 0\n1 61 1\n"
+    with pytest.raises(CodebookFormatError, match="listed more than once"):
+        pc.load_codebook(io.StringIO(text))
 
 
 def test_codebook_rejects_garbage():
