@@ -5,7 +5,7 @@ bits, and padded with fresh random bits to the code's fixed public length,
 so every ciphertext is the same size and perfectly secret.
 """
 
-from .bits import BitString, elias_gamma, elias_gamma_decode, fixed_width
+from .bits import BitString, elias_gamma, elias_gamma_decode
 from .cipher import (
     Ciphertext,
     EncryptionRecord,
@@ -28,6 +28,7 @@ from .codec import (
     wrap_external,
 )
 from .errors import (
+    CodebookFormatError,
     DecryptionFailed,
     DegenerateSpace,
     EmptyCompressorOutput,

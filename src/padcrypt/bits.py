@@ -8,7 +8,6 @@ live in a single int: bit 0 (the first bit) is the most significant bit of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -23,19 +22,6 @@ class BitString:
             raise ValueError(f"value {self.value} does not fit in {self.length} bits")
 
     # --- constructors ---
-
-    @classmethod
-    def empty(cls) -> "BitString":
-        return cls(0, 0)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
-        for b in bits:
-            value = (value << 1) | (b & 1)
-            length += 1
-        return cls(value, length)
 
     @classmethod
     def from_str(cls, s: str) -> "BitString":
@@ -65,10 +51,6 @@ class BitString:
             raise IndexError(i)
         return (self.value >> (self.length - 1 - i)) & 1
 
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.value >> (self.length - 1 - i)) & 1
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
@@ -95,9 +77,6 @@ class BitString:
         return BitString((self.value >> (self.length - stop)) & ((1 << width) - 1),
                          width)
 
-    def startswith(self, other: "BitString") -> bool:
-        return other.length <= self.length and self.prefix(other.length) == other
-
     def to_bytes(self) -> bytes:
         """Pack MSB-first; low bits of the final byte are zero-filled.
 
@@ -123,10 +102,3 @@ def elias_gamma_decode(stream: BitString) -> tuple[int, int]:
     if consumed > len(stream):
         raise ValueError("truncated gamma code")
     return stream.prefix(consumed).value, consumed
-
-
-def fixed_width(i: int, width: int) -> BitString:
-    """i as a binary word of exactly `width` bits."""
-    if i < 0 or (width == 0 and i > 0) or i.bit_length() > width:
-        raise ValueError(f"{i} does not fit in {width} bits")
-    return BitString(i, width)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,7 +60,10 @@ def make_rng(mode: str) -> RandomSource:
     if mode == "os":
         return OsRandomSource()
     if mode.startswith("seeded:"):
-        return SeededRandomSource(int(mode.split(":", 1)[1]))
+        try:
+            return SeededRandomSource(int(mode.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise PadcryptError(f"unknown rng mode {mode!r} (use os or seeded:<int>)")
 
 
@@ -74,9 +76,14 @@ def resolve_key_path(path: str) -> Path:
 
 
 def shell_compressor(command: str) -> ExternalCompressor:
+    # imported here so that only `build-code --codec external:` loads subprocess
+    import subprocess
+
     def run(data: bytes) -> bytes:
-        proc = subprocess.run(command, shell=True, input=data,
-                              capture_output=True, check=True)
+        proc = subprocess.run(command, shell=True, input=data, capture_output=True)
+        if proc.returncode:
+            raise PadcryptError(
+                f"compressor {command!r} exited with status {proc.returncode}")
         return proc.stdout
     return ExternalCompressor(run, command)
 
@@ -256,7 +263,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PadcryptError, OSError) as exc:
+    except (PadcryptError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

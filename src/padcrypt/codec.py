@@ -8,13 +8,12 @@ its outputs.
 
 from __future__ import annotations
 
-import math
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, TextIO
 
-from .bits import BitString, elias_gamma, fixed_width
+from .bits import BitString, elias_gamma
 from .errors import (
     CodebookFormatError,
     DegenerateSpace,
@@ -59,9 +58,6 @@ class MessageSpace:
     def __len__(self) -> int:
         return len(self.messages)
 
-    def index(self, m: bytes) -> int:
-        return self.messages.index(m)
-
     @property
     def is_exact(self) -> bool:
         return all(isinstance(p, Fraction) for p in self.probs)
@@ -94,9 +90,6 @@ class PrefixCode:
         object.__setattr__(self, "max_len", lengths[-1])
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_lengths", lengths)
-
-    def __contains__(self, m: bytes) -> bool:
-        return m in self.codebook
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ def trim_code(code: PrefixCode, space: MessageSpace) -> PrefixCode:
         raise DegenerateSpace("trimming needs at least 2 messages")
     if set(code.codebook) != set(space.messages):
         raise NotInCodebook("code does not cover exactly the space's messages")
-    width = math.ceil(math.log2(L))
+    width = (L - 1).bit_length()  # ceil(log2 L)
     zero = BitString.from_str("0")
     one = BitString.from_str("1")
     codebook: dict[bytes, BitString] = {}
@@ -184,7 +177,7 @@ def trim_code(code: PrefixCode, space: MessageSpace) -> PrefixCode:
         if len(word) <= width:
             codebook[m] = zero + word
         else:
-            codebook[m] = one + fixed_width(i, width)
+            codebook[m] = one + BitString(i, width)
     return PrefixCode(codebook)
 
 
@@ -210,12 +203,12 @@ def wrap_external(compressor: ExternalCompressor, space: MessageSpace) -> Prefix
     groups: dict[BitString, list[int]] = {}
     for i, f in enumerate(frames):
         groups.setdefault(f, []).append(i)
-    width = math.ceil(math.log2(L)) if L > 1 else 1
+    width = (L - 1).bit_length()
     codebook: dict[bytes, BitString] = {}
     for i, m in enumerate(space.messages):
         frame = frames[i]
         if len(groups[frame]) > 1:
-            frame = frame + fixed_width(i, width)
+            frame = frame + BitString(i, width)
         codebook[m] = frame
     return PrefixCode(codebook)
 

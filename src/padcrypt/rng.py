@@ -11,7 +11,6 @@ from .bits import BitString
 class RandomSource:
     """Supplier of independent uniform bits."""
 
-    name = "abstract"
     insecure = False
 
     def bits(self, n: int) -> BitString:
@@ -25,8 +24,6 @@ class RandomSource:
 class OsRandomSource(RandomSource):
     """OS-backed cryptographically secure source (the default)."""
 
-    name = "os"
-
     def bits(self, n: int) -> BitString:
         return BitString(secrets.randbits(n), n)
 
@@ -37,11 +34,9 @@ class OsRandomSource(RandomSource):
 class SeededRandomSource(RandomSource):
     """Deterministic PRNG for tests and reproducible runs. NOT secure."""
 
-    name = "seeded"
     insecure = True
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def bits(self, n: int) -> BitString:

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from . import cipher
 from .bits import BitString
@@ -26,9 +26,16 @@ DEFAULT_MAX_L = 12
 CHI_SQUARE_MIN_PER_BIN = 50
 
 
+def _entropy(probs: Iterable[Fraction | float]) -> float:
+    """-sum p log2 p over the positive probabilities, never below +0.0: a
+    point mass would give -0.0, and float dust in a near-1 sum a tiny
+    negative."""
+    return max(0.0, -sum(p * math.log2(p) for p in map(float, probs) if p > 0))
+
+
 def shannon_entropy(space: MessageSpace) -> float:
     """h(p) = -sum p log2 p, with zero-probability terms contributing 0."""
-    return -sum(float(p) * math.log2(float(p)) for p in space.probs if p > 0)
+    return _entropy(space.probs)
 
 
 # --- exact oracle --------------------------------------------------------
@@ -202,34 +209,22 @@ class LeakReport:
 
 def leak_mutual_information(space: MessageSpace, code: PrefixCode, *,
                             observable: str = "naive-ciphertext-length") -> LeakReport:
-    """I(M; observable) by explicit joint-distribution enumeration.
+    """I(M; observable), which is H(observable) because the observable is a
+    function of the message.
 
     The naive observable is the unpadded ciphertext length |codeword(m)|;
     "ciphertext-length" is the padded scheme's constant l, giving I = 0.
     """
     if observable == "ciphertext-length":
-        obs = {m: code.max_len for m in space.messages}
+        obs = [code.max_len] * len(space)
     elif observable == "naive-ciphertext-length":
-        obs = {m: len(encode(code, m)) for m in space.messages}
+        obs = [len(encode(code, m)) for m in space.messages]
     else:
         raise ValueError(f"unknown observable {observable!r}")
-
-    joint: dict[tuple[bytes, int], Fraction | float] = {}
-    for m, p in zip(space.messages, space.probs):
-        key = (m, obs[m])
-        joint[key] = joint.get(key, 0) + p
-    p_obs: dict[int, Fraction | float] = {}
-    for (_, o), p in joint.items():
-        p_obs[o] = p_obs.get(o, 0) + p
-    p_msg: dict[bytes, Fraction | float] = {
-        m: p for m, p in zip(space.messages, space.probs)}
-
-    info = 0.0
-    for (m, o), p in joint.items():
-        if p > 0:
-            info += float(p) * math.log2(float(p) / (float(p_msg[m]) * float(p_obs[o])))
-    # clamp float dust so the I >= 0 invariant holds exactly at 0
-    return LeakReport(max(info, 0.0), observable)
+    dist: dict[int, Fraction | float] = {}
+    for o, p in zip(obs, space.probs):
+        dist[o] = dist.get(o, 0) + p
+    return LeakReport(_entropy(dist.values()), observable)
 
 
 # --- bound report --------------------------------------------------------
@@ -255,13 +250,17 @@ def bound_report(space: MessageSpace, code: PrefixCode,
         raise ValueError(f"unknown code kind {kind!r}")
     avg = float(cipher.key_cost(space, code))
     h = shannon_entropy(space)
-    cap = math.ceil(math.log2(len(space))) + 1 if len(space) > 1 else 1
+    cap = (len(space) - 1).bit_length() + 1
 
     violations: list[str] = []
     if kind == "huffman":
-        if not (h - 1e-9 <= avg < h + 1):
+        # a one-message space still gives its lone message a 1-bit word, so
+        # there the average may reach h + 1
+        lone = len(space) == 1
+        if not (h - 1e-9 <= avg and (avg <= h + 1 if lone else avg < h + 1)):
+            end = "]" if lone else ")"
             violations.append(
-                f"average length {avg:.6f} outside [h, h+1) = [{h:.6f}, {h + 1:.6f})")
+                f"average length {avg:.6f} outside [h, h+1{end} = [{h:.6f}, {h + 1:.6f}{end}")
     elif kind == "trimmed":
         if avg > h + 2 + 1e-9:
             violations.append(f"average length {avg:.6f} exceeds h+2 = {h + 2:.6f}")

@@ -77,7 +77,7 @@ def joint_length_mi(space, code):
     info = 0.0
     for (m, n), p in joint.items():
         if p:
-            pm = Fraction(space.probs[space.index(m)])
+            pm = Fraction(space.probs[space.messages.index(m)])
             info += float(p) * math.log2(float(p / (pm * p_len[n])))
     return info
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padcrypt.bits import BitString, elias_gamma, elias_gamma_decode, fixed_width
+from padcrypt.bits import BitString, elias_gamma, elias_gamma_decode
 
 
 def test_from_str_and_back():
@@ -13,7 +13,7 @@ def test_from_str_and_back():
 
 
 def test_empty():
-    b = BitString.empty()
+    b = BitString(0, 0)
     assert len(b) == 0
     assert str(b) == ""
     assert b.to_bytes() == b""
@@ -43,12 +43,12 @@ def test_byte_packing_msb_first():
     assert BitString.from_bytes(b"\x81") == BitString.from_str("10000001")
 
 
-def test_prefix_slice_startswith():
+def test_prefix_and_slice():
     b = BitString.from_str("110100")
     assert str(b.prefix(3)) == "110"
     assert str(b.slice(2, 5)) == "010"
-    assert b.startswith(BitString.from_str("1101"))
-    assert not b.startswith(BitString.from_str("111"))
+    assert b.prefix(4) == BitString.from_str("1101")
+    assert b.prefix(3) != BitString.from_str("111")
 
 
 def test_value_must_fit():
@@ -58,7 +58,7 @@ def test_value_must_fit():
 
 @given(st.lists(st.integers(0, 1), max_size=64))
 def test_bits_roundtrip(bits):
-    b = BitString.from_bits(bits)
+    b = BitString.from_str("".join(map(str, bits)))
     assert list(b) == bits
     assert BitString.from_str(str(b)) == b
     assert BitString.from_bytes(b.to_bytes(), len(b)) == b
@@ -97,7 +97,7 @@ def test_gamma_is_prefix_free_up_to_64():
 
 
 def test_fixed_width():
-    assert str(fixed_width(3, 4)) == "0011"
-    assert str(fixed_width(5, 3)) == "101"
+    assert str(BitString(3, 4)) == "0011"
+    assert str(BitString(5, 3)) == "101"
     with pytest.raises(ValueError):
-        fixed_width(8, 3)
+        BitString(8, 3)

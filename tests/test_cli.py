@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import padcrypt
-from padcrypt import cli, codec
+from padcrypt import cli, codec, keystore
 from padcrypt.cli import main, parse_space_file
 from padcrypt.errors import PadcryptError
 
@@ -157,8 +157,9 @@ def test_cli_import_does_not_load_scipy():
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, padcrypt, padcrypt.cli; "
-             "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    # only what importing padcrypt adds counts, not what start-up loaded
+    probe = ("import sys; before = set(sys.modules); import padcrypt, padcrypt.cli; "
+             "print(sorted({'scipy', 'numpy', 'subprocess'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
@@ -197,6 +198,18 @@ def test_report_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "bounds(trimmed)" in text
     assert "ok" in text
+
+
+def test_report_on_a_one_message_space(tmp_path, capsys):
+    # the lone message gets a 1-bit word, so the average is h + 1 = 1
+    space = write(tmp_path, "space.txt", '"only" 1/1\n')
+    book = str(tmp_path / "codebook")
+    assert main(["build-code", "--space", space, "--out", book]) == 0
+    capsys.readouterr()
+    assert main(["report", "--space", space, "--code", book]) == 0
+    text = capsys.readouterr().out
+    assert "entropy_bits        0.000000\n" in text
+    assert "bounds(huffman)     ok\n" in text
 
 
 def test_external_codec_via_shell(tmp_path):
@@ -259,3 +272,31 @@ def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", "--key", key]) == 2
     assert capsys.readouterr().err.startswith("ERROR PoolFormatError:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["keygen", "64", "--out", "new.pool", "--rng", "seeded:abc", "--insecure-test"],
+    ["encrypt", "--code", "codebook", "--key", "k.pool", "--in", "msg", "--out", "f",
+     "--rng", "seeded:abc"],
+    ["build-code", "--space", "latin1.txt", "--out", "out"],
+    ["verify", "--space", "latin1.txt", "--code", "codebook"],
+    ["report", "--space", "latin1.txt", "--code", "codebook"],
+    ["encrypt", "--code", "latin1.book", "--key", "k.pool", "--in", "msg", "--out", "f"],
+    ["build-code", "--space", "space.txt", "--codec", "external:false", "--out", "out"],
+], ids=["keygen-rng", "encrypt-rng", "build-code-space", "verify-space",
+        "report-space", "encrypt-codebook", "external-exit-status"])
+def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)
+    (tmp_path / "latin1.txt").write_bytes('"caf\xe9" 1/1\n'.encode("latin-1"))
+    (tmp_path / "latin1.book").write_bytes(b"padcrypt-codebook 1 huffman 1\n0 ff \xe9\n")
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "k.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR ")
+    # a rejected encrypt spends no key bits
+    assert keystore.KeyPool.load(tmp_path / "k.pool").cursor == 0

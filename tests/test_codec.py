@@ -215,7 +215,7 @@ def test_decode_prefix_examples():
     assert pc.decode_prefix(code, B("0111")) == (b"m1", 2)
     assert pc.decode_prefix(code, B("1010")) == (b"m2", 1)
     with pytest.raises(NotACodeword):
-        pc.decode_prefix(code, BitString.empty())
+        pc.decode_prefix(code, BitString(0, 0))
 
 
 @settings(max_examples=200)
@@ -265,7 +265,7 @@ def test_decode_prefix_matches_bit_by_bit_reference(seeded):
         # a gap in the lengths, and an incomplete code (Kraft sum < 1)
         pc.PrefixCode({b"a": B("0"), b"b": B("10"), b"c": B("1100"), b"d": B("111")}),
         pc.PrefixCode({b"a": B("01"), b"b": B("1110")}),
-        pc.PrefixCode({b"only": BitString.empty()}),
+        pc.PrefixCode({b"only": BitString(0, 0)}),
     ]
     for _ in range(30):
         L = seeded.randint(2, 24)
@@ -366,3 +366,12 @@ def test_codebook_rejects_garbage():
     truncated = "\n".join(buf.getvalue().splitlines()[:-1]) + "\n"
     with pytest.raises(CodebookFormatError):
         pc.load_codebook(io.StringIO(truncated))
+
+
+def test_every_error_is_exported_from_the_package():
+    # the README names CodebookFormatError as what load_codebook raises
+    errors = {name: obj for name, obj in vars(pc.errors).items()
+              if isinstance(obj, type) and issubclass(obj, pc.PadcryptError)}
+    assert "CodebookFormatError" in errors
+    for name, cls in errors.items():
+        assert getattr(pc, name, None) is cls, name

@@ -207,7 +207,6 @@ def test_empirical_uniformity_fixed_message():
 
 def test_empirical_uniformity_detects_biased_pad():
     class ZeroPad(pc.RandomSource):
-        name = "zero-pad"
         insecure = True
 
         def bits(self, n):
