@@ -50,7 +50,7 @@ class MessageSpace:
         if isinstance(total, Fraction):
             if total != 1:
                 raise InvalidSpace(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1.0) > PROB_SUM_TOL:
+        elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
             raise InvalidSpace(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "probs", probs)

@@ -3,7 +3,9 @@
 The secrecy oracle enumerates every key and every pad into exact integer
 counts and compares P(e|m) with P(e) over a common denominator, with zero
 tolerance.  Fractions appear only in the reported tables, and floats only in
-human-readable summaries and in the large-scale chi-square complement.
+human-readable summaries and in the large-scale chi-square complement, whose
+statistic comes exactly from integer counts and whose p-value comes from a
+standard-library incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,10 +30,12 @@ CHI_SQUARE_MIN_PER_BIN = 50
 
 
 def _entropy(probs: Iterable[Fraction | float]) -> float:
-    """-sum p log2 p over the positive probabilities, never below +0.0: a
-    point mass would give -0.0, and float dust in a near-1 sum a tiny
-    negative."""
-    return max(0.0, -sum(p * math.log2(p) for p in map(float, probs) if p > 0))
+    """-sum p log2 p over the positive probabilities, each taken over their
+    sum, so that a point mass gives exactly +0.0 even when its float masses
+    sum to a few ulps below 1 (and max turns its -0.0 into +0.0)."""
+    probs = [p for p in probs if p > 0]
+    total = sum(probs)
+    return max(0.0, -sum(q * math.log2(q) for q in (float(p / total) for p in probs)))
 
 
 def shannon_entropy(space: MessageSpace) -> float:
@@ -145,6 +150,54 @@ def key_discipline_equivalence(space: MessageSpace, code: PrefixCode, *,
 
 # --- empirical uniformity ------------------------------------------------
 
+def _chi2_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-square with df degrees of freedom: the
+    regularised upper incomplete gamma Q(df/2, stat/2), summed as a series
+    below a + 1 and as a modified-Lentz continued fraction above it
+    (Numerical Recipes, section 6.2)."""
+    a, x = df / 2, stat / 2
+    if x <= 0:
+        return 1.0
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    # the series' n-th term is below eps times its sum once n(n-1) / 2(a+n)
+    # exceeds 52 ln 2, which 9 sqrt(a) + 100 terms ensure; the fraction took
+    # fewer steps than that at every df checked up to 2^26
+    steps = range(1, int(9 * math.sqrt(a)) + 100)
+    if x < a + 1:
+        term = total = 1 / a
+        for n in steps:
+            term *= x / (a + n)
+            total += term
+            if term < total * eps:
+                break
+        return 1.0 - total * math.exp(log_front)
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for n in steps:
+        an = -n * (n - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        delta = c * d
+        h *= delta
+        if abs(delta - 1) < eps:
+            break
+    return math.exp(log_front) * h
+
+
+def _chisquare(counts: list[int]) -> tuple[float, float]:
+    """Pearson's statistic of counts against the uniform distribution and its
+    p-value.  The statistic is (k sum c^2 - n^2) / n over k bins and n
+    trials, an int/int division, so it is the exact value correctly rounded."""
+    n, k = sum(counts), len(counts)
+    stat = (k * sum(c * c for c in counts) - n * n) / n
+    return stat, _chi2_sf(stat, k - 1)
+
+
 @dataclass
 class UniformityReport:
     l: int
@@ -167,6 +220,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     With fixed_message set, the per-message conditional is tested instead
     of the marginal.
     """
+    if trials < 0:
+        raise ValueError("negative trial count")
     l = code.max_len
     if l > max_l:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
@@ -193,10 +248,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     insufficient = trials < CHI_SQUARE_MIN_PER_BIN * 2 ** l
     if trials == 0:
         return UniformityReport(l, 0, None, None, True, counts)
-    # imported here so that importing padcrypt (every CLI call) never loads scipy
-    from scipy.stats import chisquare
-    stat, p = chisquare(counts)
-    return UniformityReport(l, trials, float(stat), float(p), insufficient, counts)
+    stat, p = _chisquare(counts)
+    return UniformityReport(l, trials, stat, p, insufficient, counts)
 
 
 # --- length leak ---------------------------------------------------------

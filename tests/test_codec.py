@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,10 @@ def test_space_rejects_bad_sum():
         pc.MessageSpace([b"a", b"b"], [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(InvalidSpace):
         pc.MessageSpace([b"a", b"b"], [0.5, 0.6])
+    with pytest.raises(InvalidSpace):
+        pc.MessageSpace([b"a", b"b"], [math.nan, 1.0])
+    with pytest.raises(InvalidSpace):
+        pc.MessageSpace([b"a", b"b"], [math.nan, math.nan])
 
 
 def test_space_accepts_float_within_tolerance():

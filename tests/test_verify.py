@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +231,12 @@ def test_empirical_uniformity_zero_trials():
     assert rep.p_value is None
 
 
+def test_empirical_uniformity_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        pc.empirical_uniformity(uniform_space(4), small_l_code(),
+                                pc.SeededRandomSource(1), -5)
+
+
 def test_empirical_uniformity_flags_small_samples():
     rep = pc.empirical_uniformity(uniform_space(4), small_l_code(),
                                   pc.SeededRandomSource(1), 100)
@@ -272,6 +283,67 @@ def test_empirical_uniformity_sampling_matches_linear_scan():
     assert rep.counts == linear_scan_counts(EdgeDraws(31), 5_000)
 
 
+def test_chi_square_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    from padcrypt.verify import _chi2_sf, _chisquare
+
+    def assert_tail_close(p, ref, rtol):
+        if ref >= 1e-300:
+            assert abs(p - ref) <= rtol * ref
+        else:  # scipy underflows to 0
+            assert p <= 1e-290
+
+    # count vectors at each (l, trials) of the uniformity tests and of the
+    # audit benchmark (l = 9, 51 200 trials), then the all-zero pad's two-bin
+    # counts at l = 4 and l = 8, then a statistic of exactly 0
+    rng = random.Random(6)
+
+    def draw(l, trials, bins):
+        counts = [0] * 2 ** l
+        for e in rng.choices(bins, k=trials):
+            counts[e] += 1
+        return counts
+
+    vectors = [draw(l, trials, range(2 ** l))
+               for l, trials in ((4, 100), (4, 20_000), (8, 100_000), (9, 51_200))]
+    vectors += [draw(l, trials, (0, 2 ** (l - 1))) for l, trials in ((4, 20_000), (8, 100_000))]
+    vectors.append([7] * 16)
+    for counts in vectors:
+        n, k = sum(counts), len(counts)
+        exact = sum(Fraction((k * c - n) ** 2, k * n) for c in counts)
+        stat, p = _chisquare(counts)
+        ref = stats.chisquare(counts)
+        assert stat == float(exact)
+        assert abs(stat - ref.statistic) <= 1e-12 * ref.statistic
+        assert_tail_close(p, ref.pvalue, 1e-8)
+
+    # the tail alone, from the lower tail to underflow; lgamma's rounding
+    # grows with df, hence the looser bound at the l = 24 ceiling
+    for df in (1, 2, 3, 15, 255, 511, 4095, 65535, 2 ** 20 - 1, 2 ** 24 - 1):
+        rtol = 1e-7 if df == 2 ** 24 - 1 else 1e-8
+        assert _chi2_sf(0.0, df) == stats.chi2.sf(0.0, df) == 1.0
+        for z in (-3, -1, 0, 1, 3, 10, 30, 100):
+            x = max(1e-3, df + z * math.sqrt(2 * df))
+            assert_tail_close(_chi2_sf(x, df), stats.chi2.sf(x, df), rtol)
+        assert_tail_close(_chi2_sf(1e3 * df, df), stats.chi2.sf(1e3 * df, df), rtol)
+
+
+def test_empirical_uniformity_runs_without_scipy():
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a None entry in sys.modules makes any import of scipy or numpy fail
+    probe = ("import math, sys; sys.modules['scipy'] = sys.modules['numpy'] = None; "
+             "import padcrypt as pc; "
+             "sp = pc.MessageSpace([b'a', b'b'], [0.5, 0.5]); "
+             "rep = pc.empirical_uniformity(sp, pc.build_huffman(sp), pc.SeededRandomSource(1), 400); "
+             "print(math.isfinite(rep.p_value))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 # --- leak mutual information ---------------------------------------------
 
 def test_leak_uneven_lengths():
@@ -288,10 +360,13 @@ def test_leak_constant_lengths_is_zero():
 
 
 def test_leak_padded_observable_is_zero():
-    rep = pc.leak_mutual_information(uniform_space(3), uneven_code(),
-                                     observable="ciphertext-length")
-    assert rep.mutual_information == 0.0
-    assert rep.observable == "ciphertext-length"
+    # ten float tenths sum to 1 - 2**-53, yet the lone length is a point mass
+    tenths = pc.MessageSpace([bytes([i]) for i in range(10)], [0.1] * 10)
+    for space, code in ((uniform_space(3), uneven_code()),
+                        (tenths, pc.build_huffman(tenths))):
+        rep = pc.leak_mutual_information(space, code, observable="ciphertext-length")
+        assert rep.mutual_information == 0.0
+        assert rep.observable == "ciphertext-length"
 
 
 def test_leak_nonnegative(seeded):
