@@ -7,19 +7,46 @@ live in a single int: bit 0 (the first bit) is the most significant bit of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class BitString:
-    value: int
-    length: int
+    """`length` bits, MSB-first in the int `value`; compared by value.
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    A slotted class rather than a frozen dataclass: every command builds
+    BitStrings, and importing `dataclasses` would cost a cold CLI call more
+    than the rest of this module.
+    """
+
+    __slots__ = ("value", "length")
+
+    def __init__(self, value: int, length: int) -> None:
+        if length < 0:
             raise ValueError("negative length")
-        if self.value < 0 or self.value >> self.length:
-            raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+        if value < 0 or value >> length:
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since the slots are
+        # read-only to everything but __init__
+        return (self.__class__, (self.value, self.length))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
+
+    def __repr__(self) -> str:
+        return f"BitString(value={self.value!r}, length={self.length!r})"
 
     # --- constructors ---
 

@@ -9,16 +9,19 @@ Exit codes: 0 success, 2 error (machine-parsable ERROR line on stderr),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import cipher, codec, keystore, verify
-from .codec import ExternalCompressor, MessageSpace
 from .errors import PadcryptError
-from .rng import OsRandomSource, RandomSource, SeededRandomSource
+
+# Each command imports the library modules it runs inside its own function,
+# so a cold call loads only those: `audit` never loads the codec, and only
+# `verify` and `report` load the verifier.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .codec import ExternalCompressor, MessageSpace, PrefixCode
+    from .rng import RandomSource
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
 
@@ -35,6 +38,11 @@ def parse_space_file(text: str) -> MessageSpace:
     A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
     for the empty message.  Blank lines and `#` comments are skipped.
     """
+    import json
+    from fractions import Fraction
+
+    from .codec import MessageSpace
+
     messages: list[bytes] = []
     probs: list[Fraction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -56,14 +64,24 @@ def parse_space_file(text: str) -> MessageSpace:
     return MessageSpace(messages, probs)
 
 
-def make_rng(mode: str) -> RandomSource:
+def make_rng(args: argparse.Namespace) -> RandomSource:
+    """The `--rng` source; a seeded one needs `--insecure-test`, because its
+    bits are predictable from the seed."""
+    from .rng import OsRandomSource, SeededRandomSource
+
+    mode = args.rng
     if mode == "os":
         return OsRandomSource()
     if mode.startswith("seeded:"):
         try:
-            return SeededRandomSource(int(mode.split(":", 1)[1]))
+            seed = int(mode.split(":", 1)[1])
         except ValueError:
             pass
+        else:
+            if not args.insecure_test:
+                raise PadcryptError(
+                    f"seeded rng for {args.command} requires --insecure-test")
+            return SeededRandomSource(seed)
     raise PadcryptError(f"unknown rng mode {mode!r} (use os or seeded:<int>)")
 
 
@@ -76,8 +94,9 @@ def resolve_key_path(path: str) -> Path:
 
 
 def shell_compressor(command: str) -> ExternalCompressor:
-    # imported here so that only `build-code --codec external:` loads subprocess
     import subprocess
+
+    from .codec import ExternalCompressor
 
     def run(data: bytes) -> bytes:
         proc = subprocess.run(command, shell=True, input=data, capture_output=True)
@@ -91,16 +110,18 @@ def shell_compressor(command: str) -> ExternalCompressor:
 # --- subcommands ---------------------------------------------------------
 
 def cmd_keygen(args: argparse.Namespace) -> int:
-    rng = make_rng(args.rng)
-    if rng.insecure and not args.insecure_test:
-        raise PadcryptError("seeded rng for keygen requires --insecure-test")
+    from . import keystore
+
+    rng = make_rng(args)
     pool = keystore.generate_pool(args.nbits, rng)
     pool.save(resolve_key_path(args.out))
     print(f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}")
     return EXIT_OK
 
 
-def _build_code(space: MessageSpace, choice: str) -> tuple[codec.PrefixCode, str]:
+def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
+    from . import codec
+
     if choice == "huffman":
         return codec.build_huffman(space), "huffman"
     if choice == "trimmed-huffman":
@@ -112,6 +133,8 @@ def _build_code(space: MessageSpace, choice: str) -> tuple[codec.PrefixCode, str
 
 
 def cmd_build_code(args: argparse.Namespace) -> int:
+    from . import codec
+
     space = parse_space_file(Path(args.space).read_text())
     code, name = _build_code(space, args.codec)
     with open(args.out, "w") as f:
@@ -120,15 +143,21 @@ def cmd_build_code(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_code(path: str) -> tuple[codec.PrefixCode, str]:
+def _load_code(path: str) -> tuple[PrefixCode, str]:
+    from . import codec
+
     with open(path) as f:
         return codec.load_codebook(f)
 
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
+    from . import cipher, keystore
+
+    # refused before the pool is read: a seeded pad takes one fixed value
+    # for each codeword length, so the frame would show that length
+    rng = make_rng(args)
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
-    rng = make_rng(args.rng)
     message = Path(args.infile).read_bytes()
     record = cipher.encrypt(message, code, pool, rng)
     Path(args.out).write_bytes(cipher.write_frame(record, code, rng))
@@ -138,6 +167,8 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
+    from . import cipher, keystore
+
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     frame = Path(args.infile).read_bytes()
@@ -148,13 +179,16 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
+    max_l = verify.DEFAULT_MAX_L if args.max_l is None else args.max_l
     space = parse_space_file(Path(args.space).read_text())
     code, _ = _load_code(args.code)
     if args.naive_leak_demo:
         print("WARNING: naive mode omits the random padding and is NOT secure;"
               " it exists only to demonstrate the length leak.", file=sys.stderr)
     report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo,
-                                         max_l=args.max_l)
+                                         max_l=max_l)
     if args.report_out:
         with open(args.report_out, "w") as f:
             report.write_text(f)
@@ -169,6 +203,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import verify
+
     space = parse_space_file(Path(args.space).read_text())
     code, name = _load_code(args.code)
     kind = args.kind
@@ -186,10 +222,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"bounds({rep.kind})     {'ok' if rep.ok else 'VIOLATED'}")
     for v in rep.violations:
         print(f"  violation: {v}")
-    return EXIT_OK if rep.ok else EXIT_ERROR
+    if rep.ok:
+        return EXIT_OK
+    print(f"ERROR BoundViolation: {'; '.join(rep.violations)}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from . import keystore
+
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     print(f"pool_id    {pool.pool_id}")
     print(f"bits       {len(pool.material)}")
@@ -227,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rng", default="os")
+    p.add_argument("--insecure-test", action="store_true",
+                   help="allow a seeded rng for the padding (tests only)")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt one frame back to a message file")
@@ -239,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the exact perfect-secrecy oracle")
     p.add_argument("--space", required=True)
     p.add_argument("--code", required=True)
-    p.add_argument("--max-l", type=int, default=verify.DEFAULT_MAX_L)
+    # None stands for verify.DEFAULT_MAX_L, read only when `verify` runs
+    p.add_argument("--max-l", type=int)
     p.add_argument("--naive-leak-demo", action="store_true",
                    help="omit the random padding (insecure, demo only)")
     p.add_argument("--report-out", help="write the machine-readable report here")

@@ -13,7 +13,11 @@ from pathlib import Path
 
 from .bits import BitString
 from .errors import InvalidLength, KeyExhausted, PoolFormatError
-from .rng import RandomSource
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    # annotation only: `audit` loads this module and needs no random source
+    from .rng import RandomSource
 
 POOL_MAGIC = b"PCKP"
 POOL_VERSION = 1

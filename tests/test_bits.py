@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +52,22 @@ def test_prefix_and_slice():
     assert str(b.slice(2, 5)) == "010"
     assert b.prefix(4) == BitString.from_str("1101")
     assert b.prefix(3) != BitString.from_str("111")
+
+
+def test_bitstring_is_an_immutable_value():
+    b = BitString(5, 3)
+    assert b == BitString(5, 3)
+    assert hash(b) == hash(BitString(5, 3))
+    assert b != BitString(5, 4)
+    assert b != (5, 3)
+    assert repr(b) == "BitString(value=5, length=3)"
+    with pytest.raises(AttributeError):
+        b.value = 4
+    assert b == BitString(5, 3)
+    for clone in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b)):
+        assert clone == b and hash(clone) == hash(b)
+        with pytest.raises(AttributeError):
+            clone.length = 4
 
 
 def test_value_must_fit():

@@ -1,3 +1,4 @@
+import ast
 import os
 import shutil
 import subprocess
@@ -68,6 +69,23 @@ def test_keygen_refuses_seeded_without_flag(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_encrypt_refuses_seeded_without_flag(tmp_path, capsys):
+    # a seeded pad is one fixed value per codeword length, so the frame's
+    # padding would show the length the padding exists to hide
+    space = write(tmp_path, "space.txt", SPACE_4)
+    book, key, frame = (str(tmp_path / n) for n in ("codebook", "k.pool", "frame"))
+    main(["build-code", "--space", space, "--out", book])
+    main(["keygen", "64", "--out", key, "--rng", "seeded:9", "--insecure-test"])
+    (tmp_path / "msg").write_bytes(b"alpha")
+    capsys.readouterr()
+    assert main(["encrypt", "--code", book, "--key", key, "--in", str(tmp_path / "msg"),
+                 "--out", frame, "--rng", "seeded:4"]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR PadcryptError: seeded rng for encrypt requires --insecure-test\n")
+    assert keystore.KeyPool.load(key).cursor == 0
+    assert not os.path.exists(frame)
+
+
 def test_build_encrypt_decrypt_roundtrip(tmp_path, capsys):
     space = write(tmp_path, "space.txt", SPACE_4)
     book = str(tmp_path / "codebook")
@@ -81,7 +99,8 @@ def test_build_encrypt_decrypt_roundtrip(tmp_path, capsys):
                  "--rng", "seeded:9", "--insecure-test"]) == 0
     (tmp_path / "msg").write_bytes(b"beta")
     assert main(["encrypt", "--code", book, "--key", key,
-                 "--in", msg_in, "--out", frame, "--rng", "seeded:4"]) == 0
+                 "--in", msg_in, "--out", frame,
+                 "--rng", "seeded:4", "--insecure-test"]) == 0
 
     # receiver replays from an identically generated pool
     key2 = str(tmp_path / "k2.pool")
@@ -103,7 +122,8 @@ def test_encrypt_is_deterministic_with_seeds(tmp_path):
         main(["keygen", "128", "--out", key, "--rng", "seeded:5", "--insecure-test"])
         frame = str(tmp_path / f"f{i}")
         main(["encrypt", "--code", book, "--key", key,
-              "--in", str(tmp_path / "msg"), "--out", frame, "--rng", "seeded:6"])
+              "--in", str(tmp_path / "msg"), "--out", frame,
+              "--rng", "seeded:6", "--insecure-test"])
         frames.append((tmp_path / f"f{i}").read_bytes())
     assert frames[0] == frames[1]
 
@@ -117,7 +137,7 @@ def test_encrypt_consumes_key_on_disk(tmp_path, capsys):
     (tmp_path / "msg").write_bytes(b"alpha")
     main(["encrypt", "--code", book, "--key", key,
           "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-          "--rng", "seeded:4"])
+          "--rng", "seeded:4", "--insecure-test"])
     capsys.readouterr()
     main(["audit", "--key", key])
     assert "cursor     2" in capsys.readouterr().out
@@ -143,7 +163,8 @@ def test_stdout_does_not_depend_on_the_message(tmp_path, capsys):
         (tmp_path / "msg").write_bytes(message)
         capsys.readouterr()
         assert main(["encrypt", "--code", book, "--key", alice,
-                     "--in", msg, "--out", frame, "--rng", "seeded:4"]) == 0
+                     "--in", msg, "--out", frame,
+                     "--rng", "seeded:4", "--insecure-test"]) == 0
         enc_out.append(capsys.readouterr().out)
         assert main(["decrypt", "--code", book, "--key", bob,
                      "--in", frame, "--out", msg_out]) == 0
@@ -159,10 +180,58 @@ def test_cli_import_does_not_load_scipy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # only what importing padcrypt adds counts, not what start-up loaded
     probe = ("import sys; before = set(sys.modules); import padcrypt, padcrypt.cli; "
-             "print(sorted({'scipy', 'numpy', 'subprocess'} & (set(sys.modules) - before)))")
+             "print(sorted({'scipy', 'numpy', 'subprocess', 'dataclasses', 'inspect', "
+             "'fractions', 'json', 'hashlib', 'padcrypt.bits', 'padcrypt.codec', "
+             "'padcrypt.cipher', 'padcrypt.keystore', 'padcrypt.rng', 'padcrypt.verify'} "
+             "& (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+# a cold `python -m padcrypt.cli` call, with the modules it added printed last
+COLD_CALL = """\
+import runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("padcrypt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, sorted(set(sys.modules) - before))
+"""
+NO_CODEC = {"dataclasses", "fractions", "padcrypt.codec", "padcrypt.verify", "subprocess"}
+NO_VERIFIER = {"padcrypt.verify", "subprocess"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["audit", "--key", "bob.pool"], NO_CODEC),
+    (["keygen", "64", "--out", "new.pool"], NO_CODEC),
+    (["build-code", "--space", "space.txt", "--out", "new.book"], NO_VERIFIER),
+    (["encrypt", "--code", "codebook", "--key", "alice.pool",
+      "--in", "msg", "--out", "new.frame"], NO_VERIFIER),
+    (["decrypt", "--code", "codebook", "--key", "bob.pool",
+      "--in", "frame", "--out", "msg.out"], NO_VERIFIER),
+], ids=["audit", "keygen", "build-code", "encrypt", "decrypt"])
+def test_a_cold_call_loads_only_what_its_command_runs(tmp_path, monkeypatch, argv, unloaded):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "carol.pool"]) == 0
+    for copy in ("alice.pool", "bob.pool"):
+        shutil.copyfile(tmp_path / "carol.pool", tmp_path / copy)
+    assert main(["encrypt", "--code", "codebook", "--key", "carol.pool",
+                 "--in", "msg", "--out", "frame"]) == 0
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    loaded = set(ast.literal_eval(loaded))
+    assert "padcrypt.errors" in loaded  # the probe saw the call's imports
+    assert not unloaded & loaded
 
 
 def test_verify_perfect_and_leaky(tmp_path, capsys):
@@ -200,6 +269,19 @@ def test_report_command(tmp_path, capsys):
     assert "ok" in text
 
 
+def test_report_violation_is_an_error_line(tmp_path, capsys):
+    # a dyadic Huffman code reaches l = 5, above the trimmed cap of 4
+    space = write(tmp_path, "space.txt",
+                  '"a" 1/2\n"b" 1/4\n"c" 1/8\n"d" 1/16\n"e" 1/32\n"f" 1/32\n')
+    book = str(tmp_path / "codebook")
+    assert main(["build-code", "--space", space, "--out", book]) == 0
+    capsys.readouterr()
+    assert main(["report", "--space", space, "--code", book, "--kind", "trimmed"]) == 2
+    captured = capsys.readouterr()
+    assert "bounds(trimmed)     VIOLATED\n  violation: max length 5 exceeds cap 4\n" in captured.out
+    assert captured.err == "ERROR BoundViolation: max length 5 exceeds cap 4\n"
+
+
 def test_report_on_a_one_message_space(tmp_path, capsys):
     # the lone message gets a 1-bit word, so the average is h + 1 = 1
     space = write(tmp_path, "space.txt", '"only" 1/1\n')
@@ -225,7 +307,7 @@ def test_external_codec_via_shell(tmp_path):
     (tmp_path / "msg").write_bytes(b"\x00\xff")
     assert main(["encrypt", "--code", book, "--key", key,
                  "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-                 "--rng", "seeded:4"]) == 0
+                 "--rng", "seeded:4", "--insecure-test"]) == 0
 
 
 def test_key_dir_env(tmp_path, monkeypatch, capsys):
@@ -251,7 +333,7 @@ def test_key_exhaustion_surfaces(tmp_path, capsys):
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["encrypt", "--code", book, "--key", key,
                  "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-                 "--rng", "seeded:4"]) == 2
+                 "--rng", "seeded:4", "--insecure-test"]) == 2
     assert "KeyExhausted" in capsys.readouterr().err
 
 

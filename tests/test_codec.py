@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 import random
@@ -380,3 +381,36 @@ def test_every_error_is_exported_from_the_package():
     assert "CodebookFormatError" in errors
     for name, cls in errors.items():
         assert getattr(pc, name, None) is cls, name
+
+
+# every name `padcrypt` exports, by the module that defines it
+PACKAGE_EXPORTS = {
+    "bits": ["BitString", "elias_gamma", "elias_gamma_decode"],
+    "cipher": ["Ciphertext", "EncryptionRecord", "decrypt", "encrypt", "key_cost",
+               "read_frame", "write_frame"],
+    "codec": ["ExternalCompressor", "MessageSpace", "PrefixCode", "build_huffman",
+              "decode_prefix", "encode", "load_codebook", "save_codebook", "trim_code",
+              "wrap_external"],
+    "errors": ["CodebookFormatError", "DecryptionFailed", "DegenerateSpace",
+               "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
+               "InvalidLength", "InvalidSpace", "KeyExhausted",
+               "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
+               "PadcryptError", "PoolFormatError", "WireFormatError"],
+    "keystore": ["KeyPool", "generate_pool"],
+    "rng": ["OsRandomSource", "RandomSource", "SeededRandomSource"],
+    "verify": ["BoundReport", "LeakReport", "SecrecyReport", "UniformityReport",
+               "bound_report", "empirical_uniformity", "exact_secrecy_oracle",
+               "key_discipline_equivalence", "leak_mutual_information",
+               "shannon_entropy"],
+}
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    for home, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"padcrypt.{home}")
+        for name in names:
+            assert getattr(pc, name) is getattr(module, name), name
+    assert sorted(pc.__all__) == sorted(n for names in PACKAGE_EXPORTS.values() for n in names)
+    assert set(pc.__all__) <= set(dir(pc))
+    with pytest.raises(AttributeError):
+        pc.no_such_name
