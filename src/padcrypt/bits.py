@@ -7,13 +7,16 @@ live in a single int: bit 0 (the first bit) is the most significant bit of
 
 from __future__ import annotations
 
+from ._record import FrozenRecord
 
-class BitString:
+
+class BitString(FrozenRecord):
     """`length` bits, MSB-first in the int `value`; compared by value.
 
-    A slotted class rather than a frozen dataclass: every command builds
-    BitStrings, and importing `dataclasses` would cost a cold CLI call more
-    than the rest of this module.
+    Like every padcrypt record, a slotted class rather than a frozen
+    dataclass: importing `dataclasses` would cost a cold CLI call more than
+    the command's own work.  BitStrings are compared and hashed on hot
+    paths, so `==` and `hash` are written out for the two fields.
     """
 
     __slots__ = ("value", "length")
@@ -26,17 +29,6 @@ class BitString:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "length", length)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since the slots are
-        # read-only to everything but __init__
-        return (self.__class__, (self.value, self.length))
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -44,9 +36,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self.value, self.length))
-
-    def __repr__(self) -> str:
-        return f"BitString(value={self.value!r}, length={self.length!r})"
 
     # --- constructors ---
 

@@ -8,9 +8,7 @@ fresh public-quality randomness.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, decode_prefix, encode
 from .errors import (
@@ -19,15 +17,20 @@ from .errors import (
     NotACodeword,
     WireFormatError,
 )
-from .keystore import KeyPool
-from .rng import RandomSource
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    # annotations only: `decrypt` draws no random bits, and `report` and
+    # `verify` use key_cost without a key pool
+    from .keystore import KeyPool
+    from .rng import RandomSource
 
 WIRE_MAGIC = b"PCWF"
 WIRE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(FrozenRecord):
+    __slots__ = ("bits",)
     bits: BitString
 
     @property
@@ -35,10 +38,10 @@ class Ciphertext:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class EncryptionRecord:
+class EncryptionRecord(FrozenRecord):
     """Audit trail: which key range produced this ciphertext."""
 
+    __slots__ = ("ciphertext", "key_bits_used", "pool_id", "cursor_start", "cursor_end")
     ciphertext: Ciphertext
     key_bits_used: int
     pool_id: str
@@ -93,6 +96,8 @@ def key_cost(space: MessageSpace, code: PrefixCode) -> "float":
 
 def code_fingerprint(code: PrefixCode) -> bytes:
     """8-byte identifier of a codebook, stable across processes."""
+    import hashlib  # here, not at import: `report` and `verify` hash nothing
+
     h = hashlib.sha256()
     for m, w in sorted(code.codebook.items()):
         h.update(m.hex().encode() + b":" + str(w).encode() + b"\n")

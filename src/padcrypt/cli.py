@@ -38,7 +38,6 @@ def parse_space_file(text: str) -> MessageSpace:
     A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
     for the empty message.  Blank lines and `#` comments are skipped.
     """
-    import json
     from fractions import Fraction
 
     from .codec import MessageSpace
@@ -51,6 +50,8 @@ def parse_space_file(text: str) -> MessageSpace:
             continue
         try:
             if line.startswith('"'):
+                import json  # only here: hex-only space files never load it
+
                 end = line.rindex('"')
                 msg = json.loads(line[:end + 1]).encode()
                 prob_token = line[end + 1:].strip()

@@ -9,10 +9,8 @@ its outputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence, TextIO
 
+from ._record import FrozenRecord
 from .bits import BitString, elias_gamma
 from .errors import (
     CodebookFormatError,
@@ -25,17 +23,25 @@ from .errors import (
     NotInCodebook,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Callable, Sequence, TextIO
+
 PROB_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MessageSpace:
+class MessageSpace(FrozenRecord):
     """Finite set of distinct messages with a probability distribution."""
 
+    __slots__ = ("messages", "probs")
     messages: tuple[bytes, ...]
     probs: tuple[Fraction | float, ...]
 
     def __init__(self, messages: Sequence[bytes], probs: Sequence[Fraction | float]):
+        # loaded here, not at import: `encrypt` and `decrypt` build no space
+        from fractions import Fraction
+
         messages = tuple(bytes(m) for m in messages)
         probs = tuple(probs)
         if not messages:
@@ -60,25 +66,29 @@ class MessageSpace:
 
     @property
     def is_exact(self) -> bool:
+        from fractions import Fraction
+
         return all(isinstance(p, Fraction) for p in self.probs)
 
 
-@dataclass(frozen=True)
-class PrefixCode:
+class PrefixCode(FrozenRecord):
     """Injective prefix-free codebook message -> BitString."""
 
+    # max_len is the public ciphertext length l; _table maps (length, value)
+    # to the message, the one lookup behind validation and decoding, and
+    # _lengths holds the code's distinct codeword lengths in ascending order
+    __slots__ = ("codebook", "max_len", "_table", "_lengths")
     codebook: dict[bytes, BitString]
-    max_len: int = field(init=False)  # the public ciphertext length l
-    # (length, value) -> message, the one lookup behind validation and
-    # decoding, and the code's distinct codeword lengths in ascending order
-    _table: dict[tuple[int, int], bytes] = field(init=False, repr=False, compare=False)
-    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    max_len: int
+    _table: dict[tuple[int, int], bytes]
+    _lengths: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.codebook:
+    def __init__(self, codebook: dict[bytes, BitString]) -> None:
+        object.__setattr__(self, "codebook", codebook)
+        if not codebook:
             raise InvalidCode("empty codebook")
-        table = {(w.length, w.value): m for m, w in self.codebook.items()}
-        if len(table) != len(self.codebook):
+        table = {(w.length, w.value): m for m, w in codebook.items()}
+        if len(table) != len(codebook):
             raise InvalidCode("codebook is not injective")
         lengths = tuple(sorted({n for n, _ in table}))
         # each word looks up its prefixes at the shorter lengths only, so the
@@ -92,10 +102,10 @@ class PrefixCode:
         object.__setattr__(self, "_lengths", lengths)
 
 
-@dataclass(frozen=True)
-class ExternalCompressor:
+class ExternalCompressor(FrozenRecord):
     """Deterministic byte-string -> byte-string (or bit-string) transform."""
 
+    __slots__ = ("transform", "name")
     transform: Callable[[bytes], "bytes | BitString"]
     name: str
 

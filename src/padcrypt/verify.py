@@ -15,15 +15,19 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TextIO
 
 from . import cipher
+from ._record import Record
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, encode
 from .errors import EnumerationTooLarge
-from .rng import RandomSource
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, TextIO
+
+    from .rng import RandomSource
 
 DEFAULT_MAX_L = 12
 CHI_SQUARE_MIN_PER_BIN = 50
@@ -45,8 +49,8 @@ def shannon_entropy(space: MessageSpace) -> float:
 
 # --- exact oracle --------------------------------------------------------
 
-@dataclass
-class SecrecyReport:
+class SecrecyReport(Record):
+    __slots__ = ("l", "per_message_dists", "marginal", "max_deviation", "verdict")
     l: int
     per_message_dists: dict[bytes, dict[BitString, Fraction]]
     marginal: dict[BitString, Fraction]
@@ -198,14 +202,21 @@ def _chisquare(counts: list[int]) -> tuple[float, float]:
     return stat, _chi2_sf(stat, k - 1)
 
 
-@dataclass
-class UniformityReport:
+class UniformityReport(Record):
+    __slots__ = ("l", "trials", "statistic", "p_value", "insufficient_data", "counts")
+    _unshown = ("counts",)  # one count per ciphertext, 2^l of them
     l: int
     trials: int
     statistic: float | None
     p_value: float | None
     insufficient_data: bool
-    counts: list[int] = field(repr=False, default_factory=list)
+    counts: list[int]
+
+    def __init__(self, l: int, trials: int, statistic: float | None,
+                 p_value: float | None, insufficient_data: bool,
+                 counts: list[int] | None = None) -> None:
+        super().__init__(l, trials, statistic, p_value, insufficient_data,
+                         [] if counts is None else counts)
 
 
 def empirical_uniformity(space: MessageSpace, code: PrefixCode,
@@ -254,8 +265,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
 
 # --- length leak ---------------------------------------------------------
 
-@dataclass
-class LeakReport:
+class LeakReport(Record):
+    __slots__ = ("mutual_information", "observable")
     mutual_information: float
     observable: str
 
@@ -282,8 +293,9 @@ def leak_mutual_information(space: MessageSpace, code: PrefixCode, *,
 
 # --- bound report --------------------------------------------------------
 
-@dataclass
-class BoundReport:
+class BoundReport(Record):
+    __slots__ = ("entropy", "average_length", "max_length", "length_cap", "kind",
+                 "violations")
     entropy: float
     average_length: float
     max_length: int

@@ -189,6 +189,32 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def run_time_imports(tree):
+    """Absolute module names a module imports, outside `if TYPE_CHECKING:`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_dataclasses_inspect_or_typing_at_run_time():
+    # each costs a cold call milliseconds, and typing is needed only by type checkers
+    sources = sorted(Path(padcrypt.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        banned = {name for name in run_time_imports(tree)
+                  if name.split(".")[0] in {"dataclasses", "inspect", "typing"}}
+        assert not banned, f"{path.name} imports {sorted(banned)}"
+
+
 # a cold `python -m padcrypt.cli` call, with the modules it added printed last
 COLD_CALL = """\
 import runpy, sys
@@ -198,23 +224,33 @@ try:
 except SystemExit as exc:
     print(exc.code, sorted(set(sys.modules) - before))
 """
-NO_CODEC = {"dataclasses", "fractions", "padcrypt.codec", "padcrypt.verify", "subprocess"}
-NO_VERIFIER = {"padcrypt.verify", "subprocess"}
+# SPACE_4 with every message in hex, as the benchmark writes its spaces
+SPACE_4_HEX = "616c706861 1/4\n62657461 1/4\n00ff 1/4\n- 1/4\n"
+# no command loads dataclasses (nor the inspect it pulls in), json for a
+# hex-only space file, or subprocess without an external: codec
+NEVER = {"dataclasses", "inspect", "json", "subprocess"}
+NO_RANDOM = {"padcrypt.rng", "secrets"}
+NO_CODEC = NEVER | {"fractions", "padcrypt.codec", "padcrypt.cipher", "padcrypt.verify"}
+NO_SPACE = NEVER | {"fractions", "padcrypt.verify"}
+NO_KEYS = NEVER | NO_RANDOM | {"hashlib", "padcrypt.keystore"}
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["audit", "--key", "bob.pool"], NO_CODEC),
+    (["audit", "--key", "bob.pool"], NO_CODEC | NO_RANDOM),
     (["keygen", "64", "--out", "new.pool"], NO_CODEC),
-    (["build-code", "--space", "space.txt", "--out", "new.book"], NO_VERIFIER),
+    (["build-code", "--space", "space.txt", "--out", "new.book"],
+     NO_KEYS | {"padcrypt.cipher", "padcrypt.verify"}),
     (["encrypt", "--code", "codebook", "--key", "alice.pool",
-      "--in", "msg", "--out", "new.frame"], NO_VERIFIER),
+      "--in", "msg", "--out", "new.frame"], NO_SPACE),
     (["decrypt", "--code", "codebook", "--key", "bob.pool",
-      "--in", "frame", "--out", "msg.out"], NO_VERIFIER),
-], ids=["audit", "keygen", "build-code", "encrypt", "decrypt"])
+      "--in", "frame", "--out", "msg.out"], NO_SPACE | NO_RANDOM),
+    (["report", "--space", "space.txt", "--code", "codebook"], NO_KEYS),
+    (["verify", "--space", "space.txt", "--code", "codebook"], NO_KEYS),
+], ids=["audit", "keygen", "build-code", "encrypt", "decrypt", "report", "verify"])
 def test_a_cold_call_loads_only_what_its_command_runs(tmp_path, monkeypatch, argv, unloaded):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
-    write(tmp_path, "space.txt", SPACE_4)
+    write(tmp_path, "space.txt", SPACE_4_HEX)
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
     assert main(["keygen", "64", "--out", "carol.pool"]) == 0
