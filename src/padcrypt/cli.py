@@ -2,16 +2,22 @@
 report, audit.
 
 Thin adapters only: every check and transform lives in the library modules.
-Exit codes: 0 success, 2 error (machine-parsable ERROR line on stderr),
-3 leaky verdict from `verify`.
+Exit codes: 0 success (`--help` included), 2 error (machine-parsable
+`ERROR <Name>:` line on stderr, usage errors included), 3 leaky verdict
+from `verify`.
+
+Arguments are parsed from the COMMANDS table, not with argparse, whose
+import and parser set-up would cost every cold call more than `audit`'s own
+work.  Options are spelled in full, as `--name value` or `--name=value`;
+abbreviations and the `--` separator are not accepted.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import PadcryptError
 
@@ -65,7 +71,7 @@ def parse_space_file(text: str) -> MessageSpace:
     return MessageSpace(messages, probs)
 
 
-def make_rng(args: argparse.Namespace) -> RandomSource:
+def make_rng(args: SimpleNamespace) -> RandomSource:
     """The `--rng` source; a seeded one needs `--insecure-test`, because its
     bits are predictable from the seed."""
     from .rng import OsRandomSource, SeededRandomSource
@@ -110,7 +116,7 @@ def shell_compressor(command: str) -> ExternalCompressor:
 
 # --- subcommands ---------------------------------------------------------
 
-def cmd_keygen(args: argparse.Namespace) -> int:
+def cmd_keygen(args: SimpleNamespace) -> int:
     from . import keystore
 
     rng = make_rng(args)
@@ -133,7 +139,7 @@ def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
     raise PadcryptError(f"unknown codec {choice!r}")
 
 
-def cmd_build_code(args: argparse.Namespace) -> int:
+def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
 
     space = parse_space_file(Path(args.space).read_text())
@@ -151,7 +157,7 @@ def _load_code(path: str) -> tuple[PrefixCode, str]:
         return codec.load_codebook(f)
 
 
-def cmd_encrypt(args: argparse.Namespace) -> int:
+def cmd_encrypt(args: SimpleNamespace) -> int:
     from . import cipher, keystore
 
     # refused before the pool is read: a seeded pad takes one fixed value
@@ -167,7 +173,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_decrypt(args: argparse.Namespace) -> int:
+def cmd_decrypt(args: SimpleNamespace) -> int:
     from . import cipher, keystore
 
     code, _ = _load_code(args.code)
@@ -179,7 +185,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
     max_l = verify.DEFAULT_MAX_L if args.max_l is None else args.max_l
@@ -203,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_LEAKY
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: SimpleNamespace) -> int:
     from . import verify
 
     space = parse_space_file(Path(args.space).read_text())
@@ -229,7 +235,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_ERROR
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: SimpleNamespace) -> int:
     from . import keystore
 
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
@@ -242,71 +248,142 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 # --- dispatch ------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padcrypt",
-        description="Length-hiding one-time-pad cipher over prefix-free codes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option's entry is its default, REQUIRED, `bool` for a flag, `int` for an
+# integer that defaults to None, or a tuple of choices, the first the default.
+# A name without dashes is a positional argument, which is always required.
+REQUIRED = object()
 
-    p = sub.add_parser("keygen", help="generate a one-time-pad key pool")
-    p.add_argument("nbits", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rng", default="os")
-    p.add_argument("--insecure-test", action="store_true",
-                   help="allow a seeded rng for key material (tests only)")
-    p.set_defaults(func=cmd_keygen)
+COMMANDS = {
+    "keygen": (cmd_keygen, "generate a one-time-pad key pool",
+               {"nbits": int, "--out": REQUIRED, "--rng": "os", "--insecure-test": bool}),
+    "build-code": (cmd_build_code, "build a codebook from a message space",
+                   {"--space": REQUIRED, "--codec": "huffman", "--out": REQUIRED}),
+    "encrypt": (cmd_encrypt, "encrypt one message file to a frame",
+                {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED,
+                 "--rng": "os", "--insecure-test": bool}),
+    "decrypt": (cmd_decrypt, "decrypt one frame back to a message file",
+                {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED}),
+    # --max-l None stands for verify.DEFAULT_MAX_L, read only when `verify` runs
+    "verify": (cmd_verify, "run the exact perfect-secrecy oracle",
+               {"--space": REQUIRED, "--code": REQUIRED, "--max-l": int,
+                "--naive-leak-demo": bool, "--report-out": None}),
+    "report": (cmd_report, "entropy and code-length bound report",
+               {"--space": REQUIRED, "--code": REQUIRED,
+                "--kind": ("auto", "huffman", "trimmed", "generic")}),
+    "audit": (cmd_audit, "print a pool's consumption state", {"--key": REQUIRED}),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("build-code", help="build a codebook from a message space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--codec", default="huffman",
-                   help="huffman | trimmed-huffman | external:<command>")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_code)
 
-    p = sub.add_parser("encrypt", help="encrypt one message file to a frame")
-    p.add_argument("--code", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rng", default="os")
-    p.add_argument("--insecure-test", action="store_true",
-                   help="allow a seeded rng for the padding (tests only)")
-    p.set_defaults(func=cmd_encrypt)
+def _dest(name: str) -> str:
+    """The attribute an option's value is stored under."""
+    return "infile" if name == "--in" else name.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("decrypt", help="decrypt one frame back to a message file")
-    p.add_argument("--code", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decrypt)
 
-    p = sub.add_parser("verify", help="run the exact perfect-secrecy oracle")
-    p.add_argument("--space", required=True)
-    p.add_argument("--code", required=True)
-    # None stands for verify.DEFAULT_MAX_L, read only when `verify` runs
-    p.add_argument("--max-l", type=int)
-    p.add_argument("--naive-leak-demo", action="store_true",
-                   help="omit the random padding (insecure, demo only)")
-    p.add_argument("--report-out", help="write the machine-readable report here")
-    p.set_defaults(func=cmd_verify)
+def _usage_word(name: str, spec: object) -> str:
+    if not name.startswith("-"):
+        return name.upper()
+    if spec is bool:
+        return f"[{name}]"
+    if isinstance(spec, tuple):
+        return f"[{name} {{{','.join(spec)}}}]"
+    word = f"{name} {_dest(name).upper()}"
+    return word if spec is REQUIRED else f"[{word}]"
 
-    p = sub.add_parser("report", help="entropy and code-length bound report")
-    p.add_argument("--space", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("--kind", default="auto",
-                   choices=["auto", "huffman", "trimmed", "generic"])
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("audit", help="print a pool's consumption state")
-    p.add_argument("--key", required=True)
-    p.set_defaults(func=cmd_audit)
+def _usage(command: "str | None" = None) -> str:
+    """Help text for the program, or for one command, built from COMMANDS."""
+    if command is not None:
+        _, summary, options = COMMANDS[command]
+        words = " ".join(_usage_word(name, spec) for name, spec in options.items())
+        return f"usage: padcrypt {command} {words}\n\n{summary}"
+    width = max(map(len, COMMANDS))
+    lines = [f"  {name:<{width}}  {summary}" for name, (_, summary, _) in COMMANDS.items()]
+    return "\n".join([
+        "usage: padcrypt <command> [options]", "",
+        "Length-hiding one-time-pad cipher over prefix-free codes.", "",
+        "commands:", *lines, "",
+        "Options are spelled in full, as --name value or --name=value.",
+        "Run `padcrypt <command> --help` for a command's options."])
 
-    return parser
+
+def _print_help(args: SimpleNamespace) -> int:
+    print(_usage(args.command))
+    return EXIT_OK
+
+
+def _default(name: str, spec: object) -> object:
+    if spec is bool:
+        return False
+    if isinstance(spec, tuple):
+        return spec[0]
+    if spec is int:
+        return None if name.startswith("-") else REQUIRED
+    return spec
+
+
+def _value(command: str, name: str, spec: object, token: str) -> object:
+    if spec is int:
+        try:
+            return int(token)
+        except ValueError:
+            raise PadcryptError(
+                f"{command}: {name} takes an integer, not {token!r}") from None
+    if isinstance(spec, tuple) and token not in spec:
+        raise PadcryptError(
+            f"{command}: {name} takes one of {', '.join(spec)}, not {token!r}")
+    return token
+
+
+def parse_args(argv: "list[str]") -> SimpleNamespace:
+    """The command named by `argv[0]` and its options, from COMMANDS.
+
+    Options are spelled in full, as `--name value` or `--name=value`; there
+    are no abbreviations and no `--` separator.  `-h`/`--help` selects
+    `_print_help`.  Every usage error is a PadcryptError.
+    """
+    if not argv:
+        raise PadcryptError(f"no command given (one of {', '.join(COMMANDS)})")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in _HELP:
+        return SimpleNamespace(command=None, func=_print_help)
+    if command not in COMMANDS:
+        raise PadcryptError(
+            f"unknown command {command!r} (one of {', '.join(COMMANDS)})")
+    func, _, options = COMMANDS[command]
+    positionals = [name for name in options if not name.startswith("-")]
+    values = {name: _default(name, spec) for name, spec in options.items()}
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(command=command, func=_print_help)
+        if not token.startswith("--"):
+            if not positionals:
+                raise PadcryptError(f"{command}: unexpected argument {token!r}")
+            name = positionals.pop(0)
+        else:
+            name, eq, token = token.partition("=")
+            if name not in options:
+                raise PadcryptError(f"{command}: unknown option {name}")
+            if options[name] is bool:
+                if eq:
+                    raise PadcryptError(f"{command}: {name} takes no value")
+                values[name] = True
+                continue
+            if not eq:
+                token = next(tokens, None)
+                if token is None:
+                    raise PadcryptError(f"{command}: {name} needs a value")
+        values[name] = _value(command, name, options[name], token)
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise PadcryptError(f"{command}: missing {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=func,
+                           **{_dest(name): value for name, value in values.items()})
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (PadcryptError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
-import secrets
 
 from .bits import BitString
+
+
+def _os_randbits(n: int) -> int:
+    """n bits from os.urandom, as `random.SystemRandom.getrandbits` (and so
+    `secrets.randbits`) draws them, without importing `secrets`, which loads
+    `hashlib` and `hmac`."""
+    return int.from_bytes(os.urandom((n + 7) // 8), "big") >> (-n % 8)
 
 
 class RandomSource:
@@ -25,10 +32,10 @@ class OsRandomSource(RandomSource):
     """OS-backed cryptographically secure source (the default)."""
 
     def bits(self, n: int) -> BitString:
-        return BitString(secrets.randbits(n), n)
+        return BitString(_os_randbits(n), n)
 
     def uniform(self) -> float:
-        return secrets.randbits(53) / (1 << 53)
+        return _os_randbits(53) / (1 << 53)
 
 
 class SeededRandomSource(RandomSource):

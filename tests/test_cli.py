@@ -227,9 +227,11 @@ except SystemExit as exc:
 # SPACE_4 with every message in hex, as the benchmark writes its spaces
 SPACE_4_HEX = "616c706861 1/4\n62657461 1/4\n00ff 1/4\n- 1/4\n"
 # no command loads dataclasses (nor the inspect it pulls in), json for a
-# hex-only space file, or subprocess without an external: codec
-NEVER = {"dataclasses", "inspect", "json", "subprocess"}
-NO_RANDOM = {"padcrypt.rng", "secrets"}
+# hex-only space file, subprocess without an external: codec, argparse (nor
+# its gettext), or secrets (nor its hmac)
+NEVER = {"dataclasses", "inspect", "json", "subprocess", "argparse", "gettext",
+         "secrets", "hmac"}
+NO_RANDOM = {"padcrypt.rng"}
 NO_CODEC = NEVER | {"fractions", "padcrypt.codec", "padcrypt.cipher", "padcrypt.verify"}
 NO_SPACE = NEVER | {"fractions", "padcrypt.verify"}
 NO_KEYS = NEVER | NO_RANDOM | {"hashlib", "padcrypt.keystore"}
@@ -237,7 +239,7 @@ NO_KEYS = NEVER | NO_RANDOM | {"hashlib", "padcrypt.keystore"}
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["audit", "--key", "bob.pool"], NO_CODEC | NO_RANDOM),
-    (["keygen", "64", "--out", "new.pool"], NO_CODEC),
+    (["keygen", "64", "--out", "new.pool"], NO_CODEC | {"hashlib"}),
     (["build-code", "--space", "space.txt", "--out", "new.book"],
      NO_KEYS | {"padcrypt.cipher", "padcrypt.verify"}),
     (["encrypt", "--code", "codebook", "--key", "alice.pool",
@@ -268,6 +270,74 @@ def test_a_cold_call_loads_only_what_its_command_runs(tmp_path, monkeypatch, arg
     loaded = set(ast.literal_eval(loaded))
     assert "padcrypt.errors" in loaded  # the probe saw the call's imports
     assert not unloaded & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["audit", "--key", "k.pool", "--bogus", "x"],
+    ["audit", "--ke", "k.pool"],
+    ["build-code", "--space", "space.txt"],
+    ["audit", "--key"],
+    ["keygen", "abc", "--out", "new.pool"],
+    ["verify", "--space", "space.txt", "--code", "codebook", "--max-l", "x"],
+    ["report", "--space", "space.txt", "--code", "codebook", "--kind", "bogus"],
+    ["audit", "--key", "k.pool", "extra"],
+], ids=["no-command", "unknown-command", "unknown-option", "abbreviation",
+        "missing-required", "no-value", "keygen-not-an-int", "max-l-not-an-int",
+        "bad-choice", "extra-positional"])
+def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR PadcryptError:")
+    assert captured.out == ""
+    assert not (tmp_path / "new.pool").exists()
+
+
+OPTIONS = {
+    "keygen": ["NBITS", "--out", "--rng", "--insecure-test"],
+    "build-code": ["--space", "--codec", "--out"],
+    "encrypt": ["--code", "--key", "--in", "--out", "--rng", "--insecure-test"],
+    "decrypt": ["--code", "--key", "--in", "--out"],
+    "verify": ["--space", "--code", "--max-l", "--naive-leak-demo", "--report-out"],
+    "report": ["--space", "--code", "--kind", "auto,huffman,trimmed,generic"],
+    "audit": ["--key"],
+}
+
+
+def test_help_names_every_command(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(command in captured.out for command in OPTIONS)
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_command_help_names_every_option(capsys, command):
+    assert main([command, "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(option in captured.out for option in OPTIONS[command])
+
+
+def test_cold_help_exits_0():
+    # the benchmark's cli-session set-up runs this call and stops on failure
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: padcrypt")
+
+
+def test_options_take_name_equals_value(tmp_path, capsys):
+    key = str(tmp_path / "k.pool")
+    assert main(["keygen", "32", f"--out={key}", "--rng=seeded:1", "--insecure-test"]) == 0
+    assert main(["audit", f"--key={key}"]) == 0
+    assert "bits       32\n" in capsys.readouterr().out
 
 
 def test_verify_perfect_and_leaky(tmp_path, capsys):
