@@ -96,12 +96,20 @@ def key_cost(space: MessageSpace, code: PrefixCode) -> "float":
 
 def code_fingerprint(code: PrefixCode) -> bytes:
     """8-byte identifier of a codebook, stable across processes."""
-    import hashlib  # here, not at import: `report` and `verify` hash nothing
+    # SHA-256 from the standard library's own module, imported here, not at
+    # import (`report` and `verify` hash nothing); hashlib would also load
+    # OpenSSL's _hashlib, milliseconds of every cold `encrypt` and `decrypt`
+    import sys
 
-    h = hashlib.sha256()
-    for m, w in sorted(code.codebook.items()):
-        h.update(m.hex().encode() + b":" + str(w).encode() + b"\n")
-    return h.digest()[:8]
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
+    text = "".join(f"{m.hex()}:{w}\n" for m, w in sorted(code.codebook.items()))
+    return sha256(text.encode()).digest()[:8]
 
 
 def write_frame(record: EncryptionRecord, code: PrefixCode,

@@ -32,14 +32,23 @@ PROB_SUM_TOL = 1e-9
 
 
 class MessageSpace(FrozenRecord):
-    """Finite set of distinct messages with a probability distribution."""
+    """Finite set of distinct messages with a probability distribution.
 
-    __slots__ = ("messages", "probs")
+    An exact space (every probability a Fraction) also keeps its integer
+    form: _q, the least common denominator, and _weights, each probability
+    times _q.  Validation, Huffman merging and the exact oracle all work on
+    these ints; a float or mixed space has _q = 0 and _weights = ().
+    """
+
+    __slots__ = ("messages", "probs", "_weights", "_q")
     messages: tuple[bytes, ...]
     probs: tuple[Fraction | float, ...]
+    _weights: tuple[int, ...]
+    _q: int
 
     def __init__(self, messages: Sequence[bytes], probs: Sequence[Fraction | float]):
         # loaded here, not at import: `encrypt` and `decrypt` build no space
+        import math
         from fractions import Fraction
 
         messages = tuple(bytes(m) for m in messages)
@@ -50,25 +59,36 @@ class MessageSpace(FrozenRecord):
             raise InvalidSpace("messages are not pairwise distinct")
         if len(probs) != len(messages):
             raise InvalidSpace("probs and messages differ in length")
-        if any(p < 0 for p in probs):
-            raise InvalidSpace("negative probability")
-        total = sum(probs)
-        if isinstance(total, Fraction):
-            if total != 1:
+        weights: tuple[int, ...] = ()
+        q = 0
+        if all(isinstance(p, Fraction) for p in probs):
+            q = math.lcm(*(p.denominator for p in probs))
+            weights = tuple(p.numerator * (q // p.denominator) for p in probs)
+            if any(w < 0 for w in weights):
+                raise InvalidSpace("negative probability")
+            if sum(weights) != q:
+                raise InvalidSpace(
+                    f"probabilities sum to {Fraction(sum(weights), q)}, expected 1")
+        else:
+            if any(p < 0 for p in probs):
+                raise InvalidSpace("negative probability")
+            total = sum(probs)
+            if isinstance(total, Fraction):
+                if total != 1:
+                    raise InvalidSpace(f"probabilities sum to {total}, expected 1")
+            elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
                 raise InvalidSpace(f"probabilities sum to {total}, expected 1")
-        elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
-            raise InvalidSpace(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_q", q)
 
     def __len__(self) -> int:
         return len(self.messages)
 
     @property
     def is_exact(self) -> bool:
-        from fractions import Fraction
-
-        return all(isinstance(p, Fraction) for p in self.probs)
+        return self._q > 0
 
 
 class PrefixCode(FrozenRecord):
@@ -127,26 +147,33 @@ def build_huffman(space: MessageSpace) -> PrefixCode:
 
     Deterministic: heap ties break on (weight, smallest message index) and
     codewords are assigned canonically, shortest first, then index order.
+    An exact space merges its integer weights, which order and tie exactly
+    as its probabilities do; a float space merges its float probabilities.
     """
     L = len(space)
     if L == 1:
         # degenerate space still needs a nonempty codeword
         return PrefixCode({space.messages[0]: BitString.from_str("0")})
 
-    # merge queue entries: (weight, min message index, set of indices)
-    heap: list[tuple[Fraction | float, int, list[int]]] = [
-        (p, i, [i]) for i, p in enumerate(space.probs)
+    # merge queue entries: (weight, min message index, node); nodes 0..L-1
+    # are the messages and node L + k is the k-th merge, so the root is the
+    # last node and every parent comes after its children
+    weights = space._weights if space.is_exact else space.probs
+    heap: list[tuple[int | float, int, int]] = [
+        (w, i, i) for i, w in enumerate(weights)
     ]
     heapq.heapify(heap)
-    depth = [0] * L
-    while len(heap) > 1:
-        wa, ia, ga = heapq.heappop(heap)
-        wb, ib, gb = heapq.heappop(heap)
-        for i in ga + gb:
-            depth[i] += 1
-        heapq.heappush(heap, (wa + wb, min(ia, ib), ga + gb))
+    parent = [0] * (2 * L - 1)
+    for node in range(L, 2 * L - 1):
+        wa, ia, a = heapq.heappop(heap)
+        wb, ib, b = heap[0]
+        parent[a] = parent[b] = node
+        heapq.heapreplace(heap, (wa + wb, min(ia, ib), node))
 
-    return _canonical(space.messages, depth)
+    depth = [0] * (2 * L - 1)
+    for node in range(2 * L - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return _canonical(space.messages, depth[:L])
 
 
 def _canonical(messages: Sequence[bytes], lengths: Sequence[int]) -> PrefixCode:

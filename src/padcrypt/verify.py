@@ -109,17 +109,18 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
     if l > max_l:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
 
-    # P(e|m) = cond[m][e] / 2^l and P(e) = joint[e] / denom, denom = q 2^l
-    q = math.lcm(*(p.denominator for p in space.probs))
+    # P(e|m) = cond[m][e] / 2^l and P(e) = joint[e] / denom, denom = q 2^l,
+    # with P(m) = w / q in the space's integer form
+    q = space._q
     denom = q * 2 ** l
     cond = {}
     joint: Counter = Counter()
-    for m, p in zip(space.messages, space.probs):
+    for m, w in zip(space.messages, space._weights):
         x = encode(code, m)
         counts, pairs = _counts(x, l, len(x), naive)
         cond[m] = {e: c * (2 ** l // pairs) for e, c in counts.items()}
         for e, c in cond[m].items():
-            joint[e] += int(p * q) * c
+            joint[e] += w * c
 
     dev = max(abs(q * dist.get(e, 0) - n)
               for dist in cond.values() for e, n in joint.items())

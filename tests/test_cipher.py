@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,13 @@ def test_code_fingerprint_is_pinned_and_order_free():
     rng = pc.SeededRandomSource(3)
     blob = write_frame(pc.encrypt(b"m2", code, pool_with("1"), rng), code, rng)
     assert blob[:17] == b"PCWF\x01" + pinned + (2).to_bytes(4, "big")
+
+
+def test_code_fingerprint_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without the small SHA-256 modules gets the same bytes
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # None makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert code_fingerprint(three_word_code()) == bytes.fromhex("8691cbfd36565ac6")
 
 
 def test_frame_rejects_other_codebook():

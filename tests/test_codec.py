@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import io
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import padcrypt as pc
 from padcrypt.bits import BitString, elias_gamma_decode
+from padcrypt.codec import _canonical
 from padcrypt.errors import (
     CodebookFormatError,
     DegenerateSpace,
@@ -21,7 +23,12 @@ from padcrypt.errors import (
     NotInCodebook,
 )
 
-from conftest import brute_force_optimal_average, kraft_sum, random_rational_space
+from conftest import (
+    brute_force_optimal_average,
+    kraft_sum,
+    random_float_space,
+    random_rational_space,
+)
 
 B = BitString.from_str
 
@@ -107,6 +114,78 @@ def test_huffman_matches_brute_force_small(seeded):
         avg = sum(p * len(code.codebook[m]) for m, p in zip(sp.messages, sp.probs))
         assert avg == brute_force_optimal_average(sp.probs)
 
+
+def test_exact_space_errors_keep_their_texts():
+    cases = [
+        # the sign is checked before the sum
+        ([Fraction(-1, 2), Fraction(1, 3)], "negative probability"),
+        ([Fraction(-1, 2), Fraction(3, 2)], "negative probability"),
+        ([Fraction(1, 2), Fraction(1, 3)], "probabilities sum to 5/6, expected 1"),
+        ([Fraction(1, 2), Fraction(2, 3), Fraction(0)], "probabilities sum to 7/6, expected 1"),
+    ]
+    for probs, text in cases:
+        with pytest.raises(InvalidSpace) as exc:
+            pc.MessageSpace([bytes([i]) for i in range(len(probs))], probs)
+        assert str(exc.value) == text
+
+
+def huffman_on_fraction_heap(space):
+    """Reference builder: merge the probabilities themselves, Fractions or
+    floats, carrying each subtree's message indices in a list."""
+    L = len(space)
+    if L == 1:
+        return pc.PrefixCode({space.messages[0]: B("0")})
+    heap = [(p, i, [i]) for i, p in enumerate(space.probs)]
+    heapq.heapify(heap)
+    depth = [0] * L
+    while len(heap) > 1:
+        wa, ia, ga = heapq.heappop(heap)
+        wb, ib, gb = heapq.heappop(heap)
+        for i in ga + gb:
+            depth[i] += 1
+        heapq.heappush(heap, (wa + wb, min(ia, ib), ga + gb))
+    return _canonical(space.messages, depth)
+
+
+def tied_exact_space(rng, L):
+    """Exact probabilities with ties, zeros and mixed denominators."""
+    parts = [Fraction(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+             for _ in range(L)]
+    if not any(parts):
+        parts[0] = Fraction(1)
+    total = sum(parts)
+    return pc.MessageSpace([bytes([i]) for i in range(L)], [p / total for p in parts])
+
+
+def test_huffman_matches_fraction_heap_reference(seeded):
+    spaces = [tied_exact_space(seeded, L) for L in range(1, 65) for _ in range(3)]
+    spaces += [random_float_space(seeded, seeded.randint(1, 64)) for _ in range(60)]
+    harmonic = [Fraction(1, i) for i in range(1, 201)]
+    total = sum(harmonic)
+    spaces.append(pc.MessageSpace([i.to_bytes(2, "big") for i in range(200)],
+                                  [p / total for p in harmonic]))
+    assert sum(sp.is_exact for sp in spaces) == 64 * 3 + 1
+    for sp in spaces:
+        code, ref = pc.build_huffman(sp), huffman_on_fraction_heap(sp)
+        assert list(code.codebook.items()) == list(ref.codebook.items())
+        assert code.max_len == ref.max_len
+
+
+def test_exact_space_is_built_and_coded_without_fraction_arithmetic(monkeypatch):
+    messages = [bytes([i]) for i in range(9)]
+    probs = [Fraction(c, 60) for c in (12, 12, 10, 0, 6, 5, 5)] + [Fraction(1, 12)] * 2
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on an exact space")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+                 "__add__", "__radd__", "__sub__", "__mul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    sp = pc.MessageSpace(messages, probs)
+    code = pc.build_huffman(sp)
+    monkeypatch.undo()
+    assert sp.is_exact
+    assert list(code.codebook.items()) == list(huffman_on_fraction_heap(sp).codebook.items())
 
 # --- trimmed code --------------------------------------------------------
 
