@@ -22,6 +22,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     # annotations only: `decrypt` draws no random bits, and `report` and
     # `verify` use key_cost without a key pool
+    from fractions import Fraction
+
     from .keystore import KeyPool
     from .rng import RandomSource
 
@@ -83,10 +85,17 @@ def decrypt(c: Ciphertext, code: PrefixCode, pool: KeyPool) -> bytes:
     return m
 
 
-def key_cost(space: MessageSpace, code: PrefixCode) -> "float":
-    """Expected secret-key bits consumed per message: sum P(m) * |codeword|."""
-    return sum(p * len(encode(code, m))
-               for m, p in zip(space.messages, space.probs))
+def key_cost(space: MessageSpace, code: PrefixCode) -> Fraction | float:
+    """Expected secret-key bits consumed per message: sum P(m) * |codeword|,
+    summed on the space's weights; exact, as a Fraction, on an exact space."""
+    total = sum(w * len(encode(code, m))
+                for m, w in zip(space.messages, space._weights))
+    if not space.is_exact:
+        return total
+    # loaded here, not at import: `encrypt` and `decrypt` do no exact arithmetic
+    from fractions import Fraction
+
+    return Fraction(total, space._q)
 
 
 # --- wire format ---------------------------------------------------------

@@ -34,16 +34,18 @@ PROB_SUM_TOL = 1e-9
 class MessageSpace(FrozenRecord):
     """Finite set of distinct messages with a probability distribution.
 
-    An exact space (every probability a Fraction) also keeps its integer
-    form: _q, the least common denominator, and _weights, each probability
-    times _q.  Validation, Huffman merging and the exact oracle all work on
-    these ints; a float or mixed space has _q = 0 and _weights = ().
+    _weights is the one form that code computes with.  An exact space (every
+    probability a Fraction) keeps its integer form: _q, the least common
+    denominator, and _weights, each probability times _q.  A float or mixed
+    space has _q = 0 and its probabilities themselves as _weights.
+    Validation, Huffman merging, key cost, entropy, the length leak and the
+    exact oracle all read _weights.
     """
 
     __slots__ = ("messages", "probs", "_weights", "_q")
     messages: tuple[bytes, ...]
     probs: tuple[Fraction | float, ...]
-    _weights: tuple[int, ...]
+    _weights: tuple[int, ...] | tuple[Fraction | float, ...]
     _q: int
 
     def __init__(self, messages: Sequence[bytes], probs: Sequence[Fraction | float]):
@@ -59,25 +61,23 @@ class MessageSpace(FrozenRecord):
             raise InvalidSpace("messages are not pairwise distinct")
         if len(probs) != len(messages):
             raise InvalidSpace("probs and messages differ in length")
-        weights: tuple[int, ...] = ()
         q = 0
+        weights = probs
         if all(isinstance(p, Fraction) for p in probs):
             q = math.lcm(*(p.denominator for p in probs))
             weights = tuple(p.numerator * (q // p.denominator) for p in probs)
-            if any(w < 0 for w in weights):
-                raise InvalidSpace("negative probability")
-            if sum(weights) != q:
+        if any(w < 0 for w in weights):
+            raise InvalidSpace("negative probability")
+        total = sum(weights)
+        if q:
+            if total != q:
                 raise InvalidSpace(
-                    f"probabilities sum to {Fraction(sum(weights), q)}, expected 1")
-        else:
-            if any(p < 0 for p in probs):
-                raise InvalidSpace("negative probability")
-            total = sum(probs)
-            if isinstance(total, Fraction):
-                if total != 1:
-                    raise InvalidSpace(f"probabilities sum to {total}, expected 1")
-            elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
+                    f"probabilities sum to {Fraction(total, q)}, expected 1")
+        elif isinstance(total, Fraction):
+            if total != 1:
                 raise InvalidSpace(f"probabilities sum to {total}, expected 1")
+        elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
+            raise InvalidSpace(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_weights", weights)
@@ -158,9 +158,8 @@ def build_huffman(space: MessageSpace) -> PrefixCode:
     # merge queue entries: (weight, min message index, node); nodes 0..L-1
     # are the messages and node L + k is the k-th merge, so the root is the
     # last node and every parent comes after its children
-    weights = space._weights if space.is_exact else space.probs
     heap: list[tuple[int | float, int, int]] = [
-        (w, i, i) for i, w in enumerate(weights)
+        (w, i, i) for i, w in enumerate(space._weights)
     ]
     heapq.heapify(heap)
     parent = [0] * (2 * L - 1)

@@ -18,8 +18,6 @@ def _os_randbits(n: int) -> int:
 class RandomSource:
     """Supplier of independent uniform bits."""
 
-    insecure = False
-
     def bits(self, n: int) -> BitString:
         raise NotImplementedError
 
@@ -40,8 +38,6 @@ class OsRandomSource(RandomSource):
 
 class SeededRandomSource(RandomSource):
     """Deterministic PRNG for tests and reproducible runs. NOT secure."""
-
-    insecure = True
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)

@@ -33,18 +33,19 @@ DEFAULT_MAX_L = 12
 CHI_SQUARE_MIN_PER_BIN = 50
 
 
-def _entropy(probs: Iterable[Fraction | float]) -> float:
-    """-sum p log2 p over the positive probabilities, each taken over their
-    sum, so that a point mass gives exactly +0.0 even when its float masses
-    sum to a few ulps below 1 (and max turns its -0.0 into +0.0)."""
-    probs = [p for p in probs if p > 0]
-    total = sum(probs)
-    return max(0.0, -sum(q * math.log2(q) for q in (float(p / total) for p in probs)))
+def _entropy(weights: Iterable[int | Fraction | float]) -> float:
+    """-sum p log2 p, each p a positive weight over the sum of the positive
+    weights (for integer weights, one correctly rounded division), so that a
+    point mass gives exactly +0.0 even when its float masses sum to a few
+    ulps below 1 (and max turns its -0.0 into +0.0)."""
+    weights = [w for w in weights if w > 0]
+    total = sum(weights)
+    return max(0.0, -sum(p * math.log2(p) for p in (float(w / total) for w in weights)))
 
 
 def shannon_entropy(space: MessageSpace) -> float:
     """h(p) = -sum p log2 p, with zero-probability terms contributing 0."""
-    return _entropy(space.probs)
+    return _entropy(space._weights)
 
 
 # --- exact oracle --------------------------------------------------------
@@ -124,9 +125,18 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
 
     dev = max(abs(q * dist.get(e, 0) - n)
               for dist in cond.values() for e, n in joint.items())
-    per_message = {m: {BitString(v, n): Fraction(c, 2 ** l) for (n, v), c in dist.items()}
+    # the tables share their objects: one BitString per ciphertext (every
+    # key of cond[m] is a key of joint), one Fraction per distinct count c/2^l,
+    # and a marginal n/denom that equals some c/2^l takes that same Fraction
+    bits = {(n, v): BitString(v, n) for n, v in joint}
+    probs = {c: Fraction(c, 2 ** l) for c in set().union(*(d.values() for d in cond.values()))}
+    per_message = {m: {bits[e]: probs[c] for e, c in dist.items()}
                    for m, dist in cond.items()}
-    marginal = {BitString(v, n): Fraction(c, denom) for (n, v), c in joint.items()}
+    marginal = {}
+    for e, n in joint.items():
+        c, r = divmod(n, q)
+        p = probs.get(c) if r == 0 else None
+        marginal[bits[e]] = Fraction(n, denom) if p is None else p
     verdict = "perfect" if dev == 0 else "leaky"
     return SecrecyReport(l, per_message, marginal, Fraction(dev, denom), verdict)
 
@@ -286,9 +296,9 @@ def leak_mutual_information(space: MessageSpace, code: PrefixCode, *,
         obs = [len(encode(code, m)) for m in space.messages]
     else:
         raise ValueError(f"unknown observable {observable!r}")
-    dist: dict[int, Fraction | float] = {}
-    for o, p in zip(obs, space.probs):
-        dist[o] = dist.get(o, 0) + p
+    dist: dict[int, int | Fraction | float] = {}
+    for o, w in zip(obs, space._weights):
+        dist[o] = dist.get(o, 0) + w
     return LeakReport(_entropy(dist.values()), observable)
 
 

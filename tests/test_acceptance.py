@@ -203,7 +203,6 @@ def test_statistical_uniformity():
 
     class ZeroPad(pc.RandomSource):
         name = "zero-pad"
-        insecure = True
 
         def bits(self, n):
             return BitString(0, n)

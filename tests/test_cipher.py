@@ -29,7 +29,6 @@ class FixedBits(pc.RandomSource):
     """Replays a scripted bit stream (pad-bit fault injection)."""
 
     name = "fixed"
-    insecure = True
 
     def __init__(self, script: str):
         self._bits = iter(script)

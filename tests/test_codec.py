@@ -28,6 +28,10 @@ from conftest import (
     kraft_sum,
     random_float_space,
     random_rational_space,
+    reference_entropy,
+    reference_key_cost,
+    reference_leak,
+    tied_exact_space,
 )
 
 B = BitString.from_str
@@ -122,6 +126,10 @@ def test_exact_space_errors_keep_their_texts():
         ([Fraction(-1, 2), Fraction(3, 2)], "negative probability"),
         ([Fraction(1, 2), Fraction(1, 3)], "probabilities sum to 5/6, expected 1"),
         ([Fraction(1, 2), Fraction(2, 3), Fraction(0)], "probabilities sum to 7/6, expected 1"),
+        # float and mixed spaces: the same sign check, then their own sum checks
+        ([-0.5, 1.5], "negative probability"),
+        ([0.5, 0.6], "probabilities sum to 1.1, expected 1"),
+        ([Fraction(1, 2), 0], "probabilities sum to 1/2, expected 1"),
     ]
     for probs, text in cases:
         with pytest.raises(InvalidSpace) as exc:
@@ -147,16 +155,6 @@ def huffman_on_fraction_heap(space):
     return _canonical(space.messages, depth)
 
 
-def tied_exact_space(rng, L):
-    """Exact probabilities with ties, zeros and mixed denominators."""
-    parts = [Fraction(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3, 4, 6, 7, 12]))
-             for _ in range(L)]
-    if not any(parts):
-        parts[0] = Fraction(1)
-    total = sum(parts)
-    return pc.MessageSpace([bytes([i]) for i in range(L)], [p / total for p in parts])
-
-
 def test_huffman_matches_fraction_heap_reference(seeded):
     spaces = [tied_exact_space(seeded, L) for L in range(1, 65) for _ in range(3)]
     spaces += [random_float_space(seeded, seeded.randint(1, 64)) for _ in range(60)]
@@ -179,13 +177,28 @@ def test_exact_space_is_built_and_coded_without_fraction_arithmetic(monkeypatch)
         raise AssertionError("Fraction arithmetic on an exact space")
 
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__",
-                 "__add__", "__radd__", "__sub__", "__mul__"):
+                 "__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, name, refuse)
     sp = pc.MessageSpace(messages, probs)
     code = pc.build_huffman(sp)
+    trimmed = pc.trim_code(code, sp)
+    cost = pc.key_cost(sp, code)
+    h = pc.shannon_entropy(sp)
+    leaks = {obs: pc.leak_mutual_information(sp, code, observable=obs).mutual_information
+             for obs in ("naive-ciphertext-length", "ciphertext-length")}
+    bounds = [pc.bound_report(sp, code, "huffman"), pc.bound_report(sp, trimmed, "trimmed")]
     monkeypatch.undo()
     assert sp.is_exact
     assert list(code.codebook.items()) == list(huffman_on_fraction_heap(sp).codebook.items())
+    assert cost == reference_key_cost(sp, code) and type(cost) is Fraction
+    assert h == reference_entropy(sp.probs)
+    for obs, leak in leaks.items():
+        assert leak == reference_leak(sp, code, obs)
+    for rep, c in zip(bounds, (code, trimmed)):
+        assert rep.ok
+        assert rep.average_length == float(reference_key_cost(sp, c))
+        assert rep.entropy == h
 
 # --- trimmed code --------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 import random
@@ -13,6 +14,14 @@ import padcrypt as pc
 from padcrypt.bits import BitString
 from padcrypt.errors import EnumerationTooLarge, NotInCodebook
 from padcrypt.verify import DEFAULT_MAX_L
+
+from conftest import (
+    random_float_space,
+    reference_entropy,
+    reference_key_cost,
+    reference_leak,
+    tied_exact_space,
+)
 
 B = BitString.from_str
 
@@ -212,8 +221,6 @@ def test_empirical_uniformity_fixed_message():
 
 def test_empirical_uniformity_detects_biased_pad():
     class ZeroPad(pc.RandomSource):
-        insecure = True
-
         def bits(self, n):
             return BitString(0, n)
 
@@ -416,3 +423,41 @@ def test_bound_report_uncovered_space():
     sp = pc.MessageSpace([b"zz"], [Fraction(1)])
     with pytest.raises(NotInCodebook):
         pc.bound_report(sp, uneven_code())
+
+
+# --- integer weights against the Fraction references ---------------------
+
+def block_space(n):
+    """Blocks of n letters from the (9/10, 1/10) source, as exact products."""
+    blocks = list(itertools.product((0, 1), repeat=n))
+    return pc.MessageSpace([bytes(t) for t in blocks],
+                           [Fraction(9 ** (n - sum(t)), 10 ** n) for t in blocks])
+
+
+def mixed_space(rng, L):
+    """Some probabilities of a float space made exact Fractions: the total
+    stays a float within the tolerance."""
+    sp = random_float_space(rng, L)
+    probs = [Fraction(p) if rng.random() < 0.5 else p for p in sp.probs]
+    probs[0] = float(probs[0])
+    return pc.MessageSpace(sp.messages, probs)
+
+
+def test_weights_match_fraction_references(seeded):
+    spaces = [tied_exact_space(seeded, L) for L in range(1, 41) for _ in range(2)]
+    spaces += [block_space(8), uniform_space(1)]
+    spaces += [random_float_space(seeded, seeded.randint(1, 40)) for _ in range(30)]
+    spaces += [mixed_space(seeded, seeded.randint(1, 40)) for _ in range(30)]
+    spaces.append(pc.MessageSpace([b"a", b"b", b"c"], [Fraction(1, 2), 0.25, 0.25]))
+    spaces.append(pc.MessageSpace([bytes([i]) for i in range(10)], [0.1] * 10))
+    assert sum(sp.is_exact for sp in spaces) == 40 * 2 + 2
+    for sp in spaces:
+        huffman = pc.build_huffman(sp)
+        codes = [huffman, pc.trim_code(huffman, sp)] if len(sp) > 1 else [huffman]
+        for code in codes:
+            cost, ref = pc.key_cost(sp, code), reference_key_cost(sp, code)
+            assert cost == ref and type(cost) is type(ref)
+            for obs in ("naive-ciphertext-length", "ciphertext-length"):
+                leak = pc.leak_mutual_information(sp, code, observable=obs)
+                assert leak.mutual_information.hex() == reference_leak(sp, code, obs).hex()
+        assert pc.shannon_entropy(sp).hex() == reference_entropy(sp.probs).hex()
