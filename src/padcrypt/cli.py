@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import PadcryptError
@@ -71,6 +70,16 @@ def parse_space_file(text: str) -> MessageSpace:
     return MessageSpace(messages, probs)
 
 
+def _read(path: str, mode: str = "r") -> "str | bytes":
+    with open(path, mode) as f:
+        return f.read()
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(data)
+
+
 def make_rng(args: SimpleNamespace) -> RandomSource:
     """The `--rng` source; a seeded one needs `--insecure-test`, because its
     bits are predictable from the seed."""
@@ -92,12 +101,11 @@ def make_rng(args: SimpleNamespace) -> RandomSource:
     raise PadcryptError(f"unknown rng mode {mode!r} (use os or seeded:<int>)")
 
 
-def resolve_key_path(path: str) -> Path:
-    p = Path(path)
+def resolve_key_path(path: str) -> str:
     base = os.environ.get(KEY_DIR_ENV)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
+    if base and not os.path.isabs(path):
+        return os.path.join(base, path)
+    return path
 
 
 def shell_compressor(command: str) -> ExternalCompressor:
@@ -142,7 +150,7 @@ def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
 def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
 
-    space = parse_space_file(Path(args.space).read_text())
+    space = parse_space_file(_read(args.space))
     code, name = _build_code(space, args.codec)
     with open(args.out, "w") as f:
         codec.save_codebook(code, f, name)
@@ -165,9 +173,9 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
     rng = make_rng(args)
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
-    message = Path(args.infile).read_bytes()
+    message = _read(args.infile, "rb")
     record = cipher.encrypt(message, code, pool, rng)
-    Path(args.out).write_bytes(cipher.write_frame(record, code, rng))
+    _write_bytes(args.out, cipher.write_frame(record, code, rng))
     # only message-independent fields: s or a cursor delta would reveal |codeword|
     print(f"encrypted: l={record.ciphertext.l} bits (pool {record.pool_id}) -> {args.out}")
     return EXIT_OK
@@ -178,9 +186,9 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
 
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
-    frame = Path(args.infile).read_bytes()
+    frame = _read(args.infile, "rb")
     message = cipher.decrypt(cipher.read_frame(frame, code), code, pool)
-    Path(args.out).write_bytes(message)
+    _write_bytes(args.out, message)
     print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 
@@ -189,7 +197,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
     max_l = verify.DEFAULT_MAX_L if args.max_l is None else args.max_l
-    space = parse_space_file(Path(args.space).read_text())
+    space = parse_space_file(_read(args.space))
     code, _ = _load_code(args.code)
     if args.naive_leak_demo:
         print("WARNING: naive mode omits the random padding and is NOT secure;"
@@ -212,7 +220,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 def cmd_report(args: SimpleNamespace) -> int:
     from . import verify
 
-    space = parse_space_file(Path(args.space).read_text())
+    space = parse_space_file(_read(args.space))
     code, name = _load_code(args.code)
     kind = args.kind
     if kind == "auto":

@@ -9,14 +9,16 @@ material but never reuse it.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from .bits import BitString
 from .errors import InvalidLength, KeyExhausted, PoolFormatError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    # annotation only: `audit` loads this module and needs no random source
+    # annotations only: `audit` loads this module and needs no random source,
+    # and no command loads pathlib
+    from pathlib import Path
+
     from .rng import RandomSource
 
 POOL_MAGIC = b"PCKP"
@@ -25,13 +27,13 @@ POOL_VERSION = 1
 
 class KeyPool:
     def __init__(self, material: BitString, cursor: int = 0, pool_id: str = "",
-                 backing_path: "Path | None" = None):
+                 backing_path: "str | Path | None" = None):
         if not 0 <= cursor <= len(material):
             raise PoolFormatError(f"cursor {cursor} outside pool of {len(material)} bits")
         self.material = material
         self.cursor = cursor
         self.pool_id = pool_id
-        self.backing_path = Path(backing_path) if backing_path else None
+        self.backing_path = backing_path or None
 
     @property
     def remaining(self) -> int:
@@ -61,7 +63,6 @@ class KeyPool:
     # magic(4) version(1) idlen(1) id cursor(8 BE, bits) nbits(8 BE) material
 
     def save(self, path: "str | Path") -> None:
-        path = Path(path)
         ident = self.pool_id.encode()
         if len(ident) > 255:
             raise PoolFormatError("pool id longer than 255 bytes")
@@ -71,7 +72,8 @@ class KeyPool:
                 + self.material.to_bytes())
         # write a sibling file and rename it over the pool, so a failed write
         # leaves the old pool whole rather than a truncated one
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        parent, name = os.path.split(path)
+        tmp = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
             # the mode argument applies only on create; a stale file keeps its own
@@ -88,7 +90,7 @@ class KeyPool:
         finally:
             os.close(fd)
         # make the rename itself durable
-        dirfd = os.open(path.parent, os.O_RDONLY)
+        dirfd = os.open(parent or os.curdir, os.O_RDONLY)
         try:
             os.fsync(dirfd)
         finally:
@@ -96,8 +98,8 @@ class KeyPool:
 
     @classmethod
     def load(cls, path: "str | Path") -> "KeyPool":
-        path = Path(path)
-        blob = path.read_bytes()
+        with open(path, "rb") as f:
+            blob = f.read()
         if len(blob) < 6 or blob[:4] != POOL_MAGIC:
             raise PoolFormatError(f"{path}: not a key pool file")
         if blob[4] != POOL_VERSION:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import random
 
 from .bits import BitString
 
@@ -40,10 +39,12 @@ class SeededRandomSource(RandomSource):
     """Deterministic PRNG for tests and reproducible runs. NOT secure."""
 
     def __init__(self, seed: int):
+        import random  # here, not at import: only a seeded source needs it
+
         self._rng = random.Random(seed)
 
     def bits(self, n: int) -> BitString:
-        return BitString(self._rng.getrandbits(n) if n else 0, n)
+        return BitString(self._rng.getrandbits(n), n)
 
     def uniform(self) -> float:
         return self._rng.random()

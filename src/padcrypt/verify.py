@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from .rng import RandomSource
 
 DEFAULT_MAX_L = 12
+_CHI_SQUARE_MAX_L = 24  # the chi-square test keeps one count per ciphertext
 CHI_SQUARE_MIN_PER_BIN = 50
 
 
@@ -51,6 +52,10 @@ def shannon_entropy(space: MessageSpace) -> float:
 # --- exact oracle --------------------------------------------------------
 
 class SecrecyReport(Record):
+    """The oracle's verdict and its exact tables: P(e|m) for each message and
+    the marginal P(e).  Messages with equal conditional tables share one dict
+    in per_message_dists."""
+
     __slots__ = ("l", "per_message_dists", "marginal", "max_deviation", "verdict")
     l: int
     per_message_dists: dict[bytes, dict[BitString, Fraction]]
@@ -110,47 +115,54 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
     if l > max_l:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
 
-    # P(e|m) = cond[m][e] / 2^l and P(e) = joint[e] / denom, denom = q 2^l,
-    # with P(m) = w / q in the space's integer form
+    # P(e|m) = table[e] / 2^l for m's table and P(e) = joint[e] / denom,
+    # denom = q 2^l, with P(m) = w / q in the space's integer form.  Messages
+    # with equal tables share one, and their summed weight; the scheme is
+    # perfect exactly when one table serves every message
     q = space._q
     denom = q * 2 ** l
-    cond = {}
-    joint: Counter = Counter()
+    tables: list[dict[tuple[int, int], int]] = []
+    weights: list[int] = []
+    which = {}  # message -> position of its table
     for m, w in zip(space.messages, space._weights):
         x = encode(code, m)
         counts, pairs = _counts(x, l, len(x), naive)
-        cond[m] = {e: c * (2 ** l // pairs) for e, c in counts.items()}
-        for e, c in cond[m].items():
-            joint[e] += w * c
+        table = {e: c * (2 ** l // pairs) for e, c in counts.items()}
+        try:
+            i = tables.index(table)
+        except ValueError:
+            i = len(tables)
+            tables.append(table)
+            weights.append(0)
+        weights[i] += w
+        which[m] = i
 
-    dev = max(abs(q * dist.get(e, 0) - n)
-              for dist in cond.values() for e, n in joint.items())
-    # the tables share their objects: one BitString per ciphertext (every
-    # key of cond[m] is a key of joint), one Fraction per distinct count c/2^l,
-    # and a marginal n/denom that equals some c/2^l takes that same Fraction
+    joint: Counter = Counter()
+    for table, w in zip(tables, weights):
+        for e, c in table.items():
+            joint[e] += w * c
+    dev = max(abs(q * table.get(e, 0) - n) for table in tables for e, n in joint.items())
+    # one BitString per ciphertext (every key of a table is a key of joint) and
+    # one Fraction per distinct numerator over denom, shared by all tables
     bits = {(n, v): BitString(v, n) for n, v in joint}
-    probs = {c: Fraction(c, 2 ** l) for c in set().union(*(d.values() for d in cond.values()))}
-    per_message = {m: {bits[e]: probs[c] for e, c in dist.items()}
-                   for m, dist in cond.items()}
-    marginal = {}
-    for e, n in joint.items():
-        c, r = divmod(n, q)
-        p = probs.get(c) if r == 0 else None
-        marginal[bits[e]] = Fraction(n, denom) if p is None else p
-    verdict = "perfect" if dev == 0 else "leaky"
+    fracs = {n: Fraction(n, denom) for n in
+             {q * c for table in tables for c in table.values()} | set(joint.values())}
+    dists = [{bits[e]: fracs[q * c] for e, c in table.items()} for table in tables]
+    per_message = {m: dists[i] for m, i in which.items()}
+    marginal = {bits[e]: fracs[n] for e, n in joint.items()}
+    verdict = "perfect" if len(tables) == 1 else "leaky"
     return SecrecyReport(l, per_message, marginal, Fraction(dev, denom), verdict)
 
 
 # --- key discipline equivalence ------------------------------------------
 
-def key_discipline_equivalence(space: MessageSpace, code: PrefixCode, *,
-                               max_l: int = DEFAULT_MAX_L) -> bool:
+def key_discipline_equivalence(space: MessageSpace, code: PrefixCode) -> bool:
     """Check that drawing a fresh l-bit key per message and drawing only the
     s bits actually XORed induce identical ciphertext distributions, message
     by message, with exact integer counts."""
     l = code.max_len
-    if l > max_l:
-        raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
+    if l > DEFAULT_MAX_L:
+        raise EnumerationTooLarge(f"l={l} exceeds the budget of {DEFAULT_MAX_L}")
     for m in space.messages:
         x = encode(code, m)
         # discipline A draws s key bits from a pool; B draws a full l-bit key
@@ -233,8 +245,7 @@ class UniformityReport(Record):
 def empirical_uniformity(space: MessageSpace, code: PrefixCode,
                          rng: RandomSource, trials: int, *,
                          fixed_message: bytes | None = None,
-                         pad_rng: RandomSource | None = None,
-                         max_l: int = 24) -> UniformityReport:
+                         pad_rng: RandomSource | None = None) -> UniformityReport:
     """Chi-square goodness of fit of simulated ciphertexts against uniform.
 
     Each trial uses fresh key and pad bits from rng (pad_rng overrides the
@@ -245,8 +256,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     if trials < 0:
         raise ValueError("negative trial count")
     l = code.max_len
-    if l > max_l:
-        raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
+    if l > _CHI_SQUARE_MAX_L:
+        raise EnumerationTooLarge(f"l={l} exceeds the budget of {_CHI_SQUARE_MAX_L}")
     if pad_rng is None:
         pad_rng = rng
 

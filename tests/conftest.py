@@ -64,6 +64,33 @@ def tied_exact_space(rng: random.Random, L: int) -> MessageSpace:
     return MessageSpace([bytes([i]) for i in range(L)], [p / total for p in parts])
 
 
+# --- hostile and truncated input files -----------------------------------
+
+# codebook files that load_codebook must refuse, each with its error text
+HOSTILE_CODEBOOKS = {
+    "codebook-version": ("padcrypt-codebook 2 huffman 1\n0 61 0\n",
+                         "unsupported codebook version 2"),
+    "codebook-count": ("padcrypt-codebook 1 huffman x\n0 61 0\n", "bad record count"),
+    "codebook-fields": ("padcrypt-codebook 1 huffman 1\n0 61\n", "line 2: expected 3 fields"),
+    "codebook-hex": ("padcrypt-codebook 1 huffman 1\n0 6z 0\n", "line 2: "),
+    "codebook-bits": ("padcrypt-codebook 1 huffman 1\n0 61 02\n", "line 2: not a bit string"),
+    "codebook-prefix": ("padcrypt-codebook 1 huffman 2\n0 61 0\n1 62 01\n",
+                        "not prefix-free"),
+}
+
+
+def hostile_pools(blob: bytes) -> dict[str, tuple[bytes, str]]:
+    """A saved pool's bytes cut inside the cursor field, and with the cursor
+    one past the material, each with the error text KeyPool.load gives."""
+    off = 6 + blob[5]  # the cursor field follows magic, version, id length and id
+    nbits = int.from_bytes(blob[off + 8:off + 16], "big")
+    return {
+        "pool-cut-in-cursor": (blob[:off + 4], "truncated header"),
+        "pool-cursor-beyond": (blob[:off] + (nbits + 1).to_bytes(8, "big") + blob[off + 8:],
+                               "cursor beyond material"),
+    }
+
+
 # --- reference formulas on the probabilities themselves -----------------
 #
 # These sum the space's Fractions (or floats) directly, as padcrypt did before

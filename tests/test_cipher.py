@@ -102,6 +102,16 @@ def test_decrypt_failure_is_fail_stop():
     assert receiver.cursor == 0
 
 
+def test_decrypt_past_the_pool_end_is_exhaustion():
+    # one key bit left of the two l needs: "0" XOR "0" is no codeword, and
+    # the pool cannot supply the bit that might complete one
+    pool = pool_with("110")
+    pool.take(2)
+    with pytest.raises(KeyExhausted):
+        pc.decrypt(Ciphertext(B("00")), three_word_code(), pool)
+    assert pool.cursor == 2
+
+
 def test_desynchronized_pool_detected_by_audit():
     code = three_word_code()
     sender = pool_with("10110010")
@@ -195,6 +205,14 @@ def test_frame_rejects_truncation():
         read_frame(blob[:-1], code)
     with pytest.raises(WireFormatError):
         read_frame(b"XXXX" + blob[4:], code)
+
+
+def test_frame_rejects_another_version():
+    code = three_word_code()
+    rng = pc.SeededRandomSource(3)
+    blob = write_frame(pc.encrypt(b"m0", code, pool_with("10"), rng), code, rng)
+    with pytest.raises(WireFormatError, match="unsupported frame version 2"):
+        read_frame(blob[:4] + b"\x02" + blob[5:], code)
 
 
 def test_frame_tail_bits_are_rng_not_zero():

@@ -13,6 +13,8 @@ from padcrypt import cli, codec, keystore
 from padcrypt.cli import main, parse_space_file
 from padcrypt.errors import PadcryptError
 
+from conftest import HOSTILE_CODEBOOKS, hostile_pools
+
 SPACE_4 = """\
 # four messages, uniform
 "alpha" 1/4
@@ -237,19 +239,23 @@ NO_SPACE = NEVER | {"fractions", "padcrypt.verify"}
 NO_KEYS = NEVER | NO_RANDOM | {"padcrypt.keystore"}
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (["audit", "--key", "bob.pool"], NO_CODEC | NO_RANDOM),
-    (["keygen", "64", "--out", "new.pool"], NO_CODEC),
-    (["build-code", "--space", "space.txt", "--out", "new.book"],
-     NO_KEYS | {"padcrypt.cipher", "padcrypt.verify"}),
-    (["encrypt", "--code", "codebook", "--key", "alice.pool",
-      "--in", "msg", "--out", "new.frame"], NO_SPACE),
-    (["decrypt", "--code", "codebook", "--key", "bob.pool",
-      "--in", "frame", "--out", "msg.out"], NO_SPACE | NO_RANDOM),
-    (["report", "--space", "space.txt", "--code", "codebook"], NO_KEYS),
-    (["verify", "--space", "space.txt", "--code", "codebook"], NO_KEYS),
-], ids=["audit", "keygen", "build-code", "encrypt", "decrypt", "report", "verify"])
-def test_a_cold_call_loads_only_what_its_command_runs(tmp_path, monkeypatch, argv, unloaded):
+COLD_CALLS = {
+    "audit": ["audit", "--key", "bob.pool"],
+    "keygen": ["keygen", "64", "--out", "new.pool"],
+    "build-code": ["build-code", "--space", "space.txt", "--out", "new.book"],
+    "encrypt": ["encrypt", "--code", "codebook", "--key", "alice.pool",
+                "--in", "msg", "--out", "new.frame"],
+    "decrypt": ["decrypt", "--code", "codebook", "--key", "bob.pool",
+                "--in", "frame", "--out", "msg.out"],
+    "report": ["report", "--space", "space.txt", "--code", "codebook"],
+    "verify": ["verify", "--space", "space.txt", "--code", "codebook"],
+}
+
+
+@pytest.fixture
+def cold_call(tmp_path, monkeypatch):
+    """Runs one cold call of a COLD_CALLS command, after the files it reads
+    are made, and returns the modules the call loaded."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4_HEX)
@@ -263,13 +269,44 @@ def test_a_cold_call_loads_only_what_its_command_runs(tmp_path, monkeypatch, arg
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_CALL, *argv], env=env,
-                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
-    assert code == "0", proc.stderr
-    loaded = set(ast.literal_eval(loaded))
-    assert "padcrypt.errors" in loaded  # the probe saw the call's imports
-    assert not unloaded & loaded
+
+    def run(command, *interpreter_options):
+        proc = subprocess.run(
+            [sys.executable, *interpreter_options, "-c", COLD_CALL, *COLD_CALLS[command]],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0", proc.stderr
+        loaded = set(ast.literal_eval(loaded))
+        assert "padcrypt.errors" in loaded  # the probe saw the call's imports
+        return loaded
+    return run
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("audit", NO_CODEC | NO_RANDOM),
+    ("keygen", NO_CODEC),
+    ("build-code", NO_KEYS | {"padcrypt.cipher", "padcrypt.verify"}),
+    ("encrypt", NO_SPACE),
+    ("decrypt", NO_SPACE | NO_RANDOM),
+    ("report", NO_KEYS),
+    ("verify", NO_KEYS),
+], ids=list(COLD_CALLS))
+def test_a_cold_call_loads_only_what_its_command_runs(cold_call, command, unloaded):
+    assert not unloaded & cold_call(command)
+
+
+# Without site start-up, which on some hosts already loads them, no command
+# loads pathlib (with fnmatch and urllib.parse, about 18 ms of a cold call)
+# or random, which only a seeded source imports; and the commands that parse
+# no space file load no re
+NEVER_WITHOUT_SITE = {"pathlib", "fnmatch", "urllib.parse", "random"}
+
+
+@pytest.mark.parametrize("command", list(COLD_CALLS))
+def test_a_cold_call_without_site_loads_no_pathlib(cold_call, command):
+    unloaded = NEVER_WITHOUT_SITE | ({"re"} if command in ("audit", "keygen", "encrypt", "decrypt")
+                             else set())
+    assert not unloaded & cold_call(command, "-S")
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,3 +525,42 @@ def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("ERROR ")
     # a rejected encrypt spends no key bits
     assert keystore.KeyPool.load(tmp_path / "k.pool").cursor == 0
+
+
+@pytest.mark.parametrize("case", [*HOSTILE_CODEBOOKS, "pool-cut-in-cursor", "pool-cursor-beyond",
+                                  "frame-version", "pool-too-short"])
+def test_hostile_input_files_are_error_lines(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)  # uniform: every codeword has l = 2 bits
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "k.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    shutil.copyfile(tmp_path / "k.pool", tmp_path / "sender.pool")
+    assert main(["encrypt", "--code", "codebook", "--key", "sender.pool",
+                 "--in", "msg", "--out", "frame"]) == 0
+    decrypt = ["decrypt", "--code", "codebook", "--key", "k.pool", "--in", "frame", "--out", "out"]
+    if case in HOSTILE_CODEBOOKS:
+        text, error = HOSTILE_CODEBOOKS[case]
+        write(tmp_path, "hostile.book", text)
+        argv, name = ["encrypt", "--code", "hostile.book", "--key", "k.pool",
+                      "--in", "msg", "--out", "out"], "CodebookFormatError"
+    elif case in ("pool-cut-in-cursor", "pool-cursor-beyond"):
+        blob, error = hostile_pools((tmp_path / "k.pool").read_bytes())[case]
+        (tmp_path / "k.pool").write_bytes(blob)
+        argv, name = decrypt, "PoolFormatError"
+    elif case == "frame-version":
+        blob = (tmp_path / "frame").read_bytes()
+        (tmp_path / "frame").write_bytes(blob[:4] + b"\x02" + blob[5:])
+        argv, name, error = decrypt, "WireFormatError", "unsupported frame version 2"
+    else:  # one key bit left: no 1-bit window is a codeword
+        keystore.KeyPool.load("k.pool").take(63)
+        argv, name, error = decrypt, "KeyExhausted", "only 1 bits remain"
+    pool = (tmp_path / "k.pool").read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {name}:") and error in err
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "k.pool").read_bytes() == pool  # no key bit spent

@@ -24,6 +24,7 @@ from padcrypt.errors import (
 )
 
 from conftest import (
+    HOSTILE_CODEBOOKS,
     brute_force_optimal_average,
     kraft_sum,
     random_float_space,
@@ -464,6 +465,13 @@ def test_codebook_rejects_garbage():
     truncated = "\n".join(buf.getvalue().splitlines()[:-1]) + "\n"
     with pytest.raises(CodebookFormatError):
         pc.load_codebook(io.StringIO(truncated))
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_CODEBOOKS))
+def test_codebook_rejects_hostile_files(case):
+    text, error = HOSTILE_CODEBOOKS[case]
+    with pytest.raises(CodebookFormatError, match=error):
+        pc.load_codebook(io.StringIO(text))
 
 
 def test_every_error_is_exported_from_the_package():

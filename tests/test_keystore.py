@@ -6,6 +6,8 @@ from padcrypt import KeyPool, SeededRandomSource, generate_pool
 from padcrypt.bits import BitString
 from padcrypt.errors import InvalidLength, KeyExhausted, PoolFormatError
 
+from conftest import hostile_pools
+
 
 def test_generate_pool_basic():
     pool = generate_pool(16, SeededRandomSource(1))
@@ -115,6 +117,16 @@ def test_load_bad_version(tmp_path):
     blob[4] = 99
     path.write_bytes(bytes(blob))
     with pytest.raises(PoolFormatError):
+        KeyPool.load(path)
+
+
+@pytest.mark.parametrize("case", ["pool-cut-in-cursor", "pool-cursor-beyond"])
+def test_load_rejects_hostile_files(tmp_path, case):
+    path = tmp_path / "k.pool"
+    generate_pool(64, SeededRandomSource(5)).save(path)
+    blob, error = hostile_pools(path.read_bytes())[case]
+    path.write_bytes(blob)
+    with pytest.raises(PoolFormatError, match=error):
         KeyPool.load(path)
 
 

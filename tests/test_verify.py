@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padcrypt as pc
 from padcrypt.bits import BitString
@@ -100,6 +102,35 @@ def test_oracle_bayes_consistency():
     for m, prior in zip(sp.messages, sp.probs):
         for e in report.marginal:
             assert report.posterior(m, e, prior) == prior
+
+
+@st.composite
+def spaces_with_codes(draw):
+    """An exact space, zero weights included, and a random prefix code for
+    it: a random binary tree's leaves, up to 6 bits long, some left unused."""
+    leaves = ["0", "1"]
+    for _ in range(draw(st.integers(0, 7))):
+        i = draw(st.integers(0, len(leaves) - 1))
+        if len(leaves[i]) < 6:
+            leaf = leaves.pop(i)
+            leaves += [leaf + "0", leaf + "1"]
+    words = draw(st.permutations(leaves))[:draw(st.integers(1, len(leaves)))]
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(words),
+                            max_size=len(words)).filter(any))
+    messages = [bytes([i]) for i in range(len(words))]
+    space = pc.MessageSpace(messages, [Fraction(w, sum(weights)) for w in weights])
+    return space, pc.PrefixCode({m: B(w) for m, w in zip(messages, words)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_with_codes(), st.booleans())
+def test_oracle_is_perfect_exactly_when_one_table_serves_every_message(space_code, naive):
+    space, code = space_code
+    report = pc.exact_secrecy_oracle(space, code, naive=naive)
+    tables = list(report.per_message_dists.values())
+    one_table = all(table == tables[0] for table in tables)
+    assert report.perfect == one_table == (report.max_deviation == 0)
+    assert report.perfect or naive
 
 
 def test_oracle_requires_exact_probs():
@@ -195,6 +226,14 @@ def test_discipline_equivalence_budget():
 
 
 # --- empirical uniformity ------------------------------------------------
+
+def test_empirical_uniformity_budget():
+    code = pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1" * 25)})
+    # the bare RandomSource raises NotImplementedError on any draw, so the
+    # budget must refuse the code before the first trial
+    with pytest.raises(EnumerationTooLarge, match="l=25 exceeds the budget of 24"):
+        pc.empirical_uniformity(uniform_space(2), code, pc.RandomSource(), 1)
+
 
 def small_l_code():
     # l = 4 keeps the chi-square test cheap in the unit suite
