@@ -1,4 +1,4 @@
-"""Slotted record base classes, written out so that no padcrypt module
+"""A slotted record base class, written out so that no padcrypt module
 imports `dataclasses`.
 
 Importing `dataclasses` loads `inspect`, and each decorated class runs an
@@ -9,17 +9,18 @@ from __future__ import annotations
 
 
 class Record:
-    """A record whose fields are the names in its class's `__slots__`.
+    """An immutable record whose fields are the names in its class's
+    `__slots__`.
 
     `__init__` takes the fields in slot order, by position or by name; `==`
-    compares them between records of one class and `repr` shows them, both
-    skipping slot names that start with "_" (caches derived from the
-    fields) and `repr` also skipping the names in `_unshown`.  A Record is
-    mutable and unhashable, as a plain dataclass is.
+    compares them between records of one class, `hash` hashes them and
+    `repr` shows them, all skipping slot names that start with "_" (caches
+    derived from the fields) and `repr` also skipping the names in
+    `_unshown`.  Fields cannot be assigned or deleted once set, and a record
+    with a dict or list field is unhashable, as a frozen dataclass is.
     """
 
     __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
     _fields: tuple[str, ...] = ()
     _unshown: tuple[str, ...] = ()
 
@@ -44,13 +45,22 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields
                           if f not in self._unshown)
         return f"{type(self).__qualname__}({shown})"
 
     # pickle and copy save every slot, caches included, and restore them
-    # with object.__setattr__, which a frozen record's own __setattr__ refuses
+    # with object.__setattr__, which a record's own __setattr__ refuses
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -59,18 +69,3 @@ class Record:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
-
-class FrozenRecord(Record):
-    """A Record whose fields cannot be assigned or deleted once set, and
-    which hashes by its fields, as a frozen dataclass does."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())

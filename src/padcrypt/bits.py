@@ -7,10 +7,10 @@ live in a single int: bit 0 (the first bit) is the most significant bit of
 
 from __future__ import annotations
 
-from ._record import FrozenRecord
+from ._record import Record
 
 
-class BitString(FrozenRecord):
+class BitString(Record):
     """`length` bits, MSB-first in the int `value`; compared by value.
 
     Like every padcrypt record, a slotted class rather than a frozen

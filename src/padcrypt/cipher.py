@@ -8,7 +8,7 @@ fresh public-quality randomness.
 
 from __future__ import annotations
 
-from ._record import FrozenRecord
+from ._record import Record
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, decode_prefix, encode
 from .errors import (
@@ -31,7 +31,7 @@ WIRE_MAGIC = b"PCWF"
 WIRE_VERSION = 1
 
 
-class Ciphertext(FrozenRecord):
+class Ciphertext(Record):
     __slots__ = ("bits",)
     bits: BitString
 
@@ -40,7 +40,7 @@ class Ciphertext(FrozenRecord):
         return len(self.bits)
 
 
-class EncryptionRecord(FrozenRecord):
+class EncryptionRecord(Record):
     """Audit trail: which key range produced this ciphertext."""
 
     __slots__ = ("ciphertext", "key_bits_used", "pool_id", "cursor_start", "cursor_end")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 
-from ._record import FrozenRecord
+from ._record import Record
 from .bits import BitString, elias_gamma
 from .errors import (
     CodebookFormatError,
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 PROB_SUM_TOL = 1e-9
 
 
-class MessageSpace(FrozenRecord):
+class MessageSpace(Record):
     """Finite set of distinct messages with a probability distribution.
 
     _weights is the one form that code computes with.  An exact space (every
@@ -91,7 +91,7 @@ class MessageSpace(FrozenRecord):
         return self._q > 0
 
 
-class PrefixCode(FrozenRecord):
+class PrefixCode(Record):
     """Injective prefix-free codebook message -> BitString."""
 
     # max_len is the public ciphertext length l; _table maps (length, value)
@@ -122,7 +122,7 @@ class PrefixCode(FrozenRecord):
         object.__setattr__(self, "_lengths", lengths)
 
 
-class ExternalCompressor(FrozenRecord):
+class ExternalCompressor(Record):
     """Deterministic byte-string -> byte-string (or bit-string) transform."""
 
     __slots__ = ("transform", "name")

@@ -1,11 +1,12 @@
 """Evidence engine: exact secrecy oracle, statistical tests, bound reports.
 
-The secrecy oracle enumerates every key and every pad into exact integer
-counts and compares P(e|m) with P(e) over a common denominator, with zero
-tolerance.  Fractions appear only in the reported tables, and floats only in
-human-readable summaries and in the large-scale chi-square complement, whose
-statistic comes exactly from integer counts and whose p-value comes from a
-standard-library incomplete gamma function.
+The secrecy oracle enumerates every key and every pad of each message into
+an exact integer table of P(e|m) 2^l and compares the tables as integers,
+with zero tolerance; so does the key-discipline check.  Fractions appear
+only in the reported tables, and floats only in human-readable summaries
+and in the large-scale chi-square complement, whose statistic comes exactly
+from integer counts and whose p-value comes from a standard-library
+incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -89,22 +90,26 @@ class SecrecyReport(Record):
                 out.write(f"  {e} {p.numerator}/{p.denominator}\n")
 
 
-def _counts(x: BitString, l: int, key_bits: int,
-            naive: bool) -> tuple[dict[tuple[int, int], int], int]:
-    """Ciphertext counts keyed by (length, value) over every key_bits-bit key,
-    whose first |x| bits are XORed onto x, and every pad (none when naive);
-    and the number of (key, pad) pairs."""
+def _table(x: BitString, l: int, key_bits: int, naive: bool) -> dict[tuple[int, int], int]:
+    """P(e) 2^l for each ciphertext e, keyed by (length, value), over every
+    key_bits-bit key, whose first |x| bits are XORed onto x, and every pad
+    (none when naive).
+
+    The shift is exact: the keys that share a first-|x|-bit prefix all give
+    the same y, so each y's count is a multiple of 2^(key_bits - |x|), and
+    l - npad >= |x|.
+    """
     s = len(x)
     npad = 0 if naive else l - s
     ys = Counter(x.value ^ (k >> (key_bits - s)) for k in range(2 ** key_bits))
-    counts = {(s + npad, y << npad | r): n for y, n in ys.items() for r in range(2 ** npad)}
-    return counts, 2 ** (key_bits + npad)
+    probs = {y: n << (l - npad) >> key_bits for y, n in ys.items()}
+    return {(s + npad, y << npad | r): p for y, p in probs.items() for r in range(2 ** npad)}
 
 
 def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
                          naive: bool = False,
                          max_l: int = DEFAULT_MAX_L) -> SecrecyReport:
-    """Exhaustively verify perfect secrecy with exact integer counts.
+    """Exhaustively verify perfect secrecy with exact integer tables.
 
     With naive=True the random padding is omitted (ciphertext is the XORed
     codeword alone), reproducing the length side channel.
@@ -126,8 +131,7 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
     which = {}  # message -> position of its table
     for m, w in zip(space.messages, space._weights):
         x = encode(code, m)
-        counts, pairs = _counts(x, l, len(x), naive)
-        table = {e: c * (2 ** l // pairs) for e, c in counts.items()}
+        table = _table(x, l, len(x), naive)
         try:
             i = tables.index(table)
         except ValueError:
@@ -159,7 +163,7 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
 def key_discipline_equivalence(space: MessageSpace, code: PrefixCode) -> bool:
     """Check that drawing a fresh l-bit key per message and drawing only the
     s bits actually XORed induce identical ciphertext distributions, message
-    by message, with exact integer counts."""
+    by message, as exact integer P(e|m) 2^l tables."""
     l = code.max_len
     if l > DEFAULT_MAX_L:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {DEFAULT_MAX_L}")
@@ -167,10 +171,7 @@ def key_discipline_equivalence(space: MessageSpace, code: PrefixCode) -> bool:
         x = encode(code, m)
         # discipline A draws s key bits from a pool; B draws a full l-bit key
         # and uses only its first s bits; both then pad with l-s bits
-        pool, pool_pairs = _counts(x, l, len(x), naive=False)
-        fresh, fresh_pairs = _counts(x, l, l, naive=False)
-        if ({e: c * fresh_pairs for e, c in pool.items()}
-                != {e: c * pool_pairs for e, c in fresh.items()}):
+        if _table(x, l, len(x), False) != _table(x, l, l, False):
             return False
     return True
 
@@ -234,12 +235,6 @@ class UniformityReport(Record):
     p_value: float | None
     insufficient_data: bool
     counts: list[int]
-
-    def __init__(self, l: int, trials: int, statistic: float | None,
-                 p_value: float | None, insufficient_data: bool,
-                 counts: list[int] | None = None) -> None:
-        super().__init__(l, trials, statistic, p_value, insufficient_data,
-                         [] if counts is None else counts)
 
 
 def empirical_uniformity(space: MessageSpace, code: PrefixCode,

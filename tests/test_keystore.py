@@ -4,7 +4,7 @@ import pytest
 
 from padcrypt import KeyPool, SeededRandomSource, generate_pool
 from padcrypt.bits import BitString
-from padcrypt.errors import InvalidLength, KeyExhausted, PoolFormatError
+from padcrypt.errors import InvalidLength, KeyExhausted, PadcryptError, PoolFormatError
 
 from conftest import hostile_pools
 
@@ -90,6 +90,23 @@ def test_backed_pool_writes_cursor_ahead(tmp_path):
     pool.take(10)
     # on-disk cursor already advanced, so a crash cannot cause reuse
     assert KeyPool.load(path).cursor == 10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_two_handles_on_one_pool_file_never_issue_the_same_bits(tmp_path):
+    # two processes that load one pool file before either takes: each handle
+    # must either be refused or hand out a key range the other never does
+    path = tmp_path / "k.pool"
+    generate_pool(64, SeededRandomSource(11)).save(path)
+    try:
+        handles = [KeyPool.load(path), KeyPool.load(path)]
+        starts = []
+        for pool in handles:
+            starts.append(pool.cursor)
+            pool.take(16)
+    except PadcryptError:
+        return
+    assert abs(starts[0] - starts[1]) >= 16
 
 
 def test_load_truncated_file(tmp_path):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import padcrypt as pc
 from padcrypt.bits import BitString
 from padcrypt.errors import EnumerationTooLarge, NotInCodebook
-from padcrypt.verify import DEFAULT_MAX_L
+from padcrypt.verify import DEFAULT_MAX_L, _table
 
 from conftest import (
     random_float_space,
@@ -194,6 +195,28 @@ def test_report_text_golden_naive_zero_probability():
     buf = io.StringIO()
     pc.exact_secrecy_oracle(sp, uneven_code(), naive=True).write_text(buf)
     assert buf.getvalue() == expected
+
+
+def test_table_matches_every_key_and_pad():
+    """The enumeration kernel against a tally of x ^ key || pad, built with
+    BitString over every (key, pad) pair."""
+    for s in range(5):
+        for x in (BitString(v, s) for v in range(2 ** s)):
+            for l in range(max(s, 1), 6):
+                for key_bits, naive in itertools.product({s, l}, (False, True)):
+                    npad = 0 if naive else l - s
+                    tally = Counter(
+                        x.xor(BitString(k, key_bits).prefix(s)) + BitString(r, npad)
+                        for k in range(2 ** key_bits) for r in range(2 ** npad))
+                    pairs = 2 ** (key_bits + npad)
+                    expected = {}
+                    for e, n in tally.items():
+                        p, rem = divmod(n * 2 ** l, pairs)
+                        assert rem == 0
+                        expected[len(e), e.value] = p
+                    table = _table(x, l, key_bits, naive)
+                    assert table == expected
+                    assert sum(table.values()) == 2 ** l
 
 
 # --- key discipline equivalence ------------------------------------------
