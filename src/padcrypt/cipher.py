@@ -51,16 +51,21 @@ class EncryptionRecord(Record):
     cursor_end: int
 
 
+def _fill(bits: BitString, width: int, rng: RandomSource) -> BitString:
+    """bits followed by width - len(bits) fresh bits from rng: the one place
+    random bits are appended, to a ciphertext's pad and a frame's last byte."""
+    return bits + rng.bits(width - len(bits))
+
+
 def encrypt(m: bytes, code: PrefixCode, pool: KeyPool,
             rng: RandomSource) -> EncryptionRecord:
     """XOR the codeword with fresh key bits, pad with random bits to l bits."""
     x = encode(code, m)
     s = len(x)
     start = pool.cursor
-    k = pool.take(s)
-    y = x.xor(k)
-    r = rng.bits(code.max_len - s)
-    return EncryptionRecord(Ciphertext(y + r), s, pool.pool_id, start, pool.cursor)
+    y = x.xor(pool.take(s))
+    return EncryptionRecord(Ciphertext(_fill(y, code.max_len, rng)), s,
+                            pool.pool_id, start, pool.cursor)
 
 
 def decrypt(c: Ciphertext, code: PrefixCode, pool: KeyPool) -> bytes:
@@ -130,8 +135,7 @@ def write_frame(record: EncryptionRecord, code: PrefixCode,
     """
     bits = record.ciphertext.bits
     l = len(bits)
-    tail = (-l) % 8
-    packed = (bits + rng.bits(tail)).to_bytes()
+    packed = _fill(bits, l + (-l) % 8, rng).to_bytes()
     header = (WIRE_MAGIC + bytes([WIRE_VERSION]) + code_fingerprint(code)
               + l.to_bytes(4, "big"))
     return header + packed

@@ -26,7 +26,6 @@ from .errors import PadcryptError
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codec import ExternalCompressor, MessageSpace, PrefixCode
-    from .rng import RandomSource
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
 
@@ -71,34 +70,14 @@ def parse_space_file(text: str) -> MessageSpace:
 
 
 def _read(path: str, mode: str = "r") -> "str | bytes":
-    with open(path, mode) as f:
+    """A file's bytes, or for mode "r" its UTF-8 text, whatever the locale."""
+    with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
         return f.read()
 
 
 def _write_bytes(path: str, data: bytes) -> None:
     with open(path, "wb") as f:
         f.write(data)
-
-
-def make_rng(args: SimpleNamespace) -> RandomSource:
-    """The `--rng` source; a seeded one needs `--insecure-test`, because its
-    bits are predictable from the seed."""
-    from .rng import OsRandomSource, SeededRandomSource
-
-    mode = args.rng
-    if mode == "os":
-        return OsRandomSource()
-    if mode.startswith("seeded:"):
-        try:
-            seed = int(mode.split(":", 1)[1])
-        except ValueError:
-            pass
-        else:
-            if not args.insecure_test:
-                raise PadcryptError(
-                    f"seeded rng for {args.command} requires --insecure-test")
-            return SeededRandomSource(seed)
-    raise PadcryptError(f"unknown rng mode {mode!r} (use os or seeded:<int>)")
 
 
 def resolve_key_path(path: str) -> str:
@@ -126,8 +105,23 @@ def shell_compressor(command: str) -> ExternalCompressor:
 
 def cmd_keygen(args: SimpleNamespace) -> int:
     from . import keystore
+    from .rng import OsRandomSource, SeededRandomSource
 
-    rng = make_rng(args)
+    if args.rng == "os":
+        rng = OsRandomSource()
+    else:
+        kind, _, seed = args.rng.partition(":")
+        try:
+            if kind != "seeded":
+                raise ValueError(kind)
+            seed = int(seed)
+        except ValueError:
+            raise PadcryptError(
+                f"unknown rng mode {args.rng!r} (use os or seeded:<int>)") from None
+        # a seeded pool's bits are predictable from the seed
+        if not args.insecure_test:
+            raise PadcryptError("seeded rng for keygen requires --insecure-test")
+        rng = SeededRandomSource(seed)
     pool = keystore.generate_pool(args.nbits, rng)
     pool.save(resolve_key_path(args.out))
     print(f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}")
@@ -152,7 +146,7 @@ def cmd_build_code(args: SimpleNamespace) -> int:
 
     space = parse_space_file(_read(args.space))
     code, name = _build_code(space, args.codec)
-    with open(args.out, "w") as f:
+    with open(args.out, "w", encoding="utf-8") as f:
         codec.save_codebook(code, f, name)
     print(f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")
     return EXIT_OK
@@ -161,16 +155,17 @@ def cmd_build_code(args: SimpleNamespace) -> int:
 def _load_code(path: str) -> tuple[PrefixCode, str]:
     from . import codec
 
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return codec.load_codebook(f)
 
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
     from . import cipher, keystore
+    from .rng import OsRandomSource
 
-    # refused before the pool is read: a seeded pad takes one fixed value
-    # for each codeword length, so the frame would show that length
-    rng = make_rng(args)
+    # always the OS source: a seeded pad would take one fixed value for each
+    # codeword length, so the frame would show that length
+    rng = OsRandomSource()
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     message = _read(args.infile, "rb")
@@ -205,7 +200,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo,
                                          max_l=max_l)
     if args.report_out:
-        with open(args.report_out, "w") as f:
+        with open(args.report_out, "w", encoding="utf-8") as f:
             report.write_text(f)
     if report.perfect:
         print("PERFECT")
@@ -267,8 +262,7 @@ COMMANDS = {
     "build-code": (cmd_build_code, "build a codebook from a message space",
                    {"--space": REQUIRED, "--codec": "huffman", "--out": REQUIRED}),
     "encrypt": (cmd_encrypt, "encrypt one message file to a frame",
-                {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED,
-                 "--rng": "os", "--insecure-test": bool}),
+                {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED}),
     "decrypt": (cmd_decrypt, "decrypt one frame back to a message file",
                 {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED}),
     # --max-l None stands for verify.DEFAULT_MAX_L, read only when `verify` runs
@@ -393,7 +387,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (PadcryptError, OSError, UnicodeDecodeError) as exc:
+    except (PadcryptError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -127,5 +127,7 @@ def generate_pool(nbits: int, rng: RandomSource) -> KeyPool:
     """Fresh pool of nbits uniform bits, cursor at 0."""
     if nbits < 1:
         raise InvalidLength("pool must hold at least 1 bit")
+    if nbits >= 2 ** 64:  # the pool header holds nbits in 8 bytes
+        raise InvalidLength("pool must hold fewer than 2^64 bits")
     pool_id = format(rng.bits(64).value, "016x")
     return KeyPool(rng.bits(nbits), 0, pool_id)

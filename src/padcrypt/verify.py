@@ -163,7 +163,10 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
 def key_discipline_equivalence(space: MessageSpace, code: PrefixCode) -> bool:
     """Check that drawing a fresh l-bit key per message and drawing only the
     s bits actually XORed induce identical ciphertext distributions, message
-    by message, as exact integer P(e|m) 2^l tables."""
+    by message, as exact integer P(e|m) 2^l tables.
+
+    Both give every l-bit ciphertext 2^-l for any code with |x| <= l, so
+    this checks the kernel's key_bits path, not the code."""
     l = code.max_len
     if l > DEFAULT_MAX_L:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {DEFAULT_MAX_L}")
@@ -239,22 +242,18 @@ class UniformityReport(Record):
 
 def empirical_uniformity(space: MessageSpace, code: PrefixCode,
                          rng: RandomSource, trials: int, *,
-                         fixed_message: bytes | None = None,
-                         pad_rng: RandomSource | None = None) -> UniformityReport:
+                         fixed_message: bytes | None = None) -> UniformityReport:
     """Chi-square goodness of fit of simulated ciphertexts against uniform.
 
-    Each trial uses fresh key and pad bits from rng (pad_rng overrides the
-    pad source, which is the fault-injection point for biased-pad tests).
-    With fixed_message set, the per-message conditional is tested instead
-    of the marginal.
+    Each trial XORs the codeword with fresh key bits from rng and pads it
+    with cipher's own fill, also from rng.  With fixed_message set, the
+    per-message conditional is tested instead of the marginal.
     """
     if trials < 0:
         raise ValueError("negative trial count")
     l = code.max_len
     if l > _CHI_SQUARE_MAX_L:
         raise EnumerationTooLarge(f"l={l} exceeds the budget of {_CHI_SQUARE_MAX_L}")
-    if pad_rng is None:
-        pad_rng = rng
 
     bounds = list(itertools.accumulate(float(p) for p in space.probs))
     last = len(bounds) - 1
@@ -268,10 +267,7 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
             i = bisect.bisect_right(bounds, rng.uniform())
             m = space.messages[min(i, last)]
         x = encode(code, m)
-        s = len(x)
-        y = x.xor(rng.bits(s))
-        e = y + pad_rng.bits(l - s)
-        counts[e.value] += 1
+        counts[cipher._fill(x.xor(rng.bits(len(x))), l, rng).value] += 1
 
     insufficient = trials < CHI_SQUARE_MIN_PER_BIN * 2 ** l
     if trials == 0:

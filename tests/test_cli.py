@@ -71,6 +71,25 @@ def test_keygen_refuses_seeded_without_flag(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_keygen_refuses_2_to_the_64_bits(tmp_path, capsys):
+    # the pool header holds the bit count in 8 bytes; refused before any bit is drawn
+    out = str(tmp_path / "k.pool")
+    assert main(["keygen", str(2 ** 64), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("ERROR InvalidLength:")
+    assert not os.path.exists(out)
+
+
+def test_keygen_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    def no_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr(os, "urandom", no_memory)
+    out = str(tmp_path / "k.pool")
+    assert main(["keygen", "64", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("ERROR MemoryError:")
+    assert not os.path.exists(out)
+
+
 def test_encrypt_refuses_seeded_without_flag(tmp_path, capsys):
     # a seeded pad is one fixed value per codeword length, so the frame's
     # padding would show the length the padding exists to hide
@@ -82,8 +101,7 @@ def test_encrypt_refuses_seeded_without_flag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["encrypt", "--code", book, "--key", key, "--in", str(tmp_path / "msg"),
                  "--out", frame, "--rng", "seeded:4"]) == 2
-    assert capsys.readouterr().err == (
-        "ERROR PadcryptError: seeded rng for encrypt requires --insecure-test\n")
+    assert capsys.readouterr().err == "ERROR PadcryptError: encrypt: unknown option --rng\n"
     assert keystore.KeyPool.load(key).cursor == 0
     assert not os.path.exists(frame)
 
@@ -101,8 +119,7 @@ def test_build_encrypt_decrypt_roundtrip(tmp_path, capsys):
                  "--rng", "seeded:9", "--insecure-test"]) == 0
     (tmp_path / "msg").write_bytes(b"beta")
     assert main(["encrypt", "--code", book, "--key", key,
-                 "--in", msg_in, "--out", frame,
-                 "--rng", "seeded:4", "--insecure-test"]) == 0
+                 "--in", msg_in, "--out", frame]) == 0
 
     # receiver replays from an identically generated pool
     key2 = str(tmp_path / "k2.pool")
@@ -113,23 +130,6 @@ def test_build_encrypt_decrypt_roundtrip(tmp_path, capsys):
     assert (tmp_path / "msg.out").read_bytes() == b"beta"
 
 
-def test_encrypt_is_deterministic_with_seeds(tmp_path):
-    space = write(tmp_path, "space.txt", SPACE_4)
-    book = str(tmp_path / "codebook")
-    main(["build-code", "--space", space, "--out", book])
-    (tmp_path / "msg").write_bytes(b"alpha")
-    frames = []
-    for i in (1, 2):
-        key = str(tmp_path / f"k{i}.pool")
-        main(["keygen", "128", "--out", key, "--rng", "seeded:5", "--insecure-test"])
-        frame = str(tmp_path / f"f{i}")
-        main(["encrypt", "--code", book, "--key", key,
-              "--in", str(tmp_path / "msg"), "--out", frame,
-              "--rng", "seeded:6", "--insecure-test"])
-        frames.append((tmp_path / f"f{i}").read_bytes())
-    assert frames[0] == frames[1]
-
-
 def test_encrypt_consumes_key_on_disk(tmp_path, capsys):
     space = write(tmp_path, "space.txt", SPACE_4)
     book = str(tmp_path / "codebook")
@@ -138,8 +138,7 @@ def test_encrypt_consumes_key_on_disk(tmp_path, capsys):
     main(["keygen", "64", "--out", key, "--rng", "seeded:9", "--insecure-test"])
     (tmp_path / "msg").write_bytes(b"alpha")
     main(["encrypt", "--code", book, "--key", key,
-          "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-          "--rng", "seeded:4", "--insecure-test"])
+          "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f")])
     capsys.readouterr()
     main(["audit", "--key", key])
     assert "cursor     2" in capsys.readouterr().out
@@ -165,8 +164,7 @@ def test_stdout_does_not_depend_on_the_message(tmp_path, capsys):
         (tmp_path / "msg").write_bytes(message)
         capsys.readouterr()
         assert main(["encrypt", "--code", book, "--key", alice,
-                     "--in", msg, "--out", frame,
-                     "--rng", "seeded:4", "--insecure-test"]) == 0
+                     "--in", msg, "--out", frame]) == 0
         enc_out.append(capsys.readouterr().out)
         assert main(["decrypt", "--code", book, "--key", bob,
                      "--in", frame, "--out", msg_out]) == 0
@@ -336,7 +334,7 @@ def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
 OPTIONS = {
     "keygen": ["NBITS", "--out", "--rng", "--insecure-test"],
     "build-code": ["--space", "--codec", "--out"],
-    "encrypt": ["--code", "--key", "--in", "--out", "--rng", "--insecure-test"],
+    "encrypt": ["--code", "--key", "--in", "--out"],
     "decrypt": ["--code", "--key", "--in", "--out"],
     "verify": ["--space", "--code", "--max-l", "--naive-leak-demo", "--report-out"],
     "report": ["--space", "--code", "--kind", "auto,huffman,trimmed,generic"],
@@ -449,8 +447,7 @@ def test_external_codec_via_shell(tmp_path):
     main(["keygen", "256", "--out", key, "--rng", "seeded:9", "--insecure-test"])
     (tmp_path / "msg").write_bytes(b"\x00\xff")
     assert main(["encrypt", "--code", book, "--key", key,
-                 "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-                 "--rng", "seeded:4", "--insecure-test"]) == 0
+                 "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f")]) == 0
 
 
 def test_key_dir_env(tmp_path, monkeypatch, capsys):
@@ -475,8 +472,7 @@ def test_key_exhaustion_surfaces(tmp_path, capsys):
     main(["keygen", "1", "--out", key, "--rng", "seeded:9", "--insecure-test"])
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["encrypt", "--code", book, "--key", key,
-                 "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f"),
-                 "--rng", "seeded:4", "--insecure-test"]) == 2
+                 "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f")]) == 2
     assert "KeyExhausted" in capsys.readouterr().err
 
 
@@ -485,6 +481,36 @@ def test_zero_denominator_in_space_file_is_an_error_line(tmp_path, capsys):
     assert main(["build-code", "--space", space,
                  "--out", str(tmp_path / "codebook")]) == 2
     assert capsys.readouterr().err.startswith("ERROR PadcryptError: space file line 1:")
+
+
+# a locale whose encoding is ASCII, with Python's coercion to UTF-8 turned off
+C_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "space.txt").write_bytes('"café" 1/2\n"tea" 1/2\n'.encode())
+    (tmp_path / "msg").write_bytes("café".encode())
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+
+    def cli(*argv, **env):
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    cli("build-code", "--space", "space.txt", "--out", "utf8.book", PYTHONUTF8="1")
+    cli("build-code", "--space", "space.txt", "--out", "c.book", **C_LOCALE)
+    book = (tmp_path / "c.book").read_bytes()
+    assert book == (tmp_path / "utf8.book").read_bytes()
+    assert b" 636166c3a9 " in book
+    cli("keygen", "64", "--out", "k.pool", "--rng", "seeded:9", "--insecure-test", **C_LOCALE)
+    shutil.copyfile(tmp_path / "k.pool", tmp_path / "k2.pool")
+    cli("encrypt", "--code", "c.book", "--key", "k.pool", "--in", "msg", "--out", "frame",
+        **C_LOCALE)
+    cli("decrypt", "--code", "c.book", "--key", "k2.pool", "--in", "frame",
+        "--out", "msg.out", **C_LOCALE)
+    assert (tmp_path / "msg.out").read_bytes() == "café".encode()
 
 
 def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
