@@ -3,7 +3,8 @@
 Every ciphertext is exactly l bits long (l = longest codeword of the code
 in force), so its length reveals nothing about which message was sent.
 Only the s codeword bits consume secret key; the remaining l - s bits are
-fresh public-quality randomness.
+fresh public-quality randomness.  Yet both ends refuse a message unless l
+key bits remain, so running out of key shows nothing about the message.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 from ._record import Record
 from .bits import BitString
 from .codec import MessageSpace, PrefixCode, decode_prefix, encode
-from .errors import (
-    DecryptionFailed,
-    KeyExhausted,
-    NotACodeword,
-    WireFormatError,
-)
+from .errors import DecryptionFailed, NotACodeword, WireFormatError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -61,10 +57,12 @@ def encrypt(m: bytes, code: PrefixCode, pool: KeyPool,
             rng: RandomSource) -> EncryptionRecord:
     """XOR the codeword with fresh key bits, pad with random bits to l bits."""
     x = encode(code, m)
-    s = len(x)
+    s, l = len(x), code.max_len
+    if pool.remaining < l:
+        pool.peek(l)  # raises: the refusal decrypt's peek(l) gives, for every s
     start = pool.cursor
     y = x.xor(pool.take(s))
-    return EncryptionRecord(Ciphertext(_fill(y, code.max_len, rng)), s,
+    return EncryptionRecord(Ciphertext(_fill(y, l, rng)), s,
                             pool.pool_id, start, pool.cursor)
 
 
@@ -77,14 +75,9 @@ def decrypt(c: Ciphertext, code: PrefixCode, pool: KeyPool) -> bytes:
     if c.l != code.max_len:
         raise DecryptionFailed(
             f"ciphertext is {c.l} bits, code in force needs {code.max_len}")
-    window = pool.peek(c.l)
-    xored = c.bits.prefix(len(window)).xor(window)
     try:
-        m, s = decode_prefix(code, xored)
+        m, s = decode_prefix(code, c.bits.xor(pool.peek(c.l)))
     except NotACodeword:
-        if pool.remaining < c.l:
-            raise KeyExhausted(
-                f"pool {pool.pool_id}: only {pool.remaining} bits remain") from None
         raise DecryptionFailed("no prefix of the XORed bits is a codeword") from None
     pool.take(s)
     return m

@@ -75,11 +75,6 @@ def _read(path: str, mode: str = "r") -> "str | bytes":
         return f.read()
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as f:
-        f.write(data)
-
-
 def resolve_key_path(path: str) -> str:
     base = os.environ.get(KEY_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -161,6 +156,7 @@ def _load_code(path: str) -> tuple[PrefixCode, str]:
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
     from . import cipher, keystore
+    from ._files import write_file
     from .rng import OsRandomSource
 
     # always the OS source: a seeded pad would take one fixed value for each
@@ -169,21 +165,23 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     message = _read(args.infile, "rb")
-    record = cipher.encrypt(message, code, pool, rng)
-    _write_bytes(args.out, cipher.write_frame(record, code, rng))
+    # --out is opened before encrypt takes a key bit, so an unwritable path
+    # spends none
+    write_file(args.out, lambda: cipher.write_frame(
+        cipher.encrypt(message, code, pool, rng), code, rng))
     # only message-independent fields: s or a cursor delta would reveal |codeword|
-    print(f"encrypted: l={record.ciphertext.l} bits (pool {record.pool_id}) -> {args.out}")
+    print(f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_decrypt(args: SimpleNamespace) -> int:
     from . import cipher, keystore
+    from ._files import write_file
 
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
-    frame = _read(args.infile, "rb")
-    message = cipher.decrypt(cipher.read_frame(frame, code), code, pool)
-    _write_bytes(args.out, message)
+    ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
+    write_file(args.out, lambda: cipher.decrypt(ciphertext, code, pool))
     print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 

@@ -8,8 +8,7 @@ material but never reuse it.
 
 from __future__ import annotations
 
-import os
-
+from ._files import write_file
 from .bits import BitString
 from .errors import InvalidLength, KeyExhausted, PoolFormatError
 
@@ -41,21 +40,21 @@ class KeyPool:
 
     def take(self, s: int) -> BitString:
         """Consume and return the next s key bits, advancing the cursor."""
+        bits = self.peek(s)
+        self.cursor += s
+        if self.backing_path is not None:
+            # write-ahead: persist the new cursor before releasing the bits
+            self.save(self.backing_path)
+        return bits
+
+    def peek(self, s: int) -> BitString:
+        """The next s key bits, without consuming them; KeyExhausted unless
+        s bits remain.  The pool's one bounds check: `take` reads through it."""
         if s < 0:
             raise ValueError("negative bit count")
         if s > self.remaining:
             raise KeyExhausted(
                 f"pool {self.pool_id}: need {s} bits, {self.remaining} remain")
-        start = self.cursor
-        self.cursor += s
-        if self.backing_path is not None:
-            # write-ahead: persist the new cursor before releasing the bits
-            self.save(self.backing_path)
-        return self.material.slice(start, start + s)
-
-    def peek(self, s: int) -> BitString:
-        """Read up to s upcoming bits without consuming them."""
-        s = min(s, self.remaining)
         return self.material.slice(self.cursor, self.cursor + s)
 
     # --- persistence -----------------------------------------------------
@@ -70,31 +69,10 @@ class KeyPool:
                 + self.cursor.to_bytes(8, "big")
                 + len(self.material).to_bytes(8, "big")
                 + self.material.to_bytes())
-        # write a sibling file and rename it over the pool, so a failed write
-        # leaves the old pool whole rather than a truncated one
-        parent, name = os.path.split(path)
-        tmp = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        try:
-            # the mode argument applies only on create; a stale file keeps its own
-            os.fchmod(fd, 0o600)
-            # os.write may write fewer bytes than asked (at most ~2 GiB on Linux)
-            view = memoryview(blob)
-            while view:
-                view = view[os.write(fd, view):]
-            os.fsync(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        finally:
-            os.close(fd)
-        # make the rename itself durable
-        dirfd = os.open(parent or os.curdir, os.O_RDONLY)
-        try:
-            os.fsync(dirfd)
-        finally:
-            os.close(dirfd)
+        # a temp file renamed over the real file: a failed write leaves the
+        # old pool whole, and a symlinked path keeps its link and the file
+        # its cursor; always 0600, and on disk before the bits are released
+        write_file(path, lambda: blob, 0o600, durable=True)
 
     @classmethod
     def load(cls, path: "str | Path") -> "KeyPool":

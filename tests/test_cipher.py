@@ -103,13 +103,36 @@ def test_decrypt_failure_is_fail_stop():
 
 
 def test_decrypt_past_the_pool_end_is_exhaustion():
-    # one key bit left of the two l needs: "0" XOR "0" is no codeword, and
-    # the pool cannot supply the bit that might complete one
+    # one key bit left of the two l needs: refused before any prefix is tried
     pool = pool_with("110")
     pool.take(2)
     with pytest.raises(KeyExhausted):
         pc.decrypt(Ciphertext(B("00")), three_word_code(), pool)
     assert pool.cursor == 2
+
+
+def test_running_out_shows_nothing_about_the_message():
+    # codeword lengths 1..l: with r < l bits left every message, and every
+    # l-bit ciphertext, is refused with one text that names l, never s, and
+    # no cursor moves; a 1-bit word sent from a 1-bit pool where a 3-bit
+    # word is refused would show which message was sent
+    code = pc.PrefixCode({b"a": B("0"), b"b": B("10"), b"c": B("110"), b"d": B("111")})
+    l = code.max_len
+    for r in range(l):
+        refusals = set()
+        for m in code.codebook:
+            pool = pool_with("0" * r)
+            with pytest.raises(KeyExhausted) as refused:
+                pc.encrypt(m, code, pool, FixedBits("0" * l))
+            refusals.add(str(refused.value))
+            assert pool.cursor == 0
+        for e in range(2 ** l):
+            pool = pool_with("0" * r)
+            with pytest.raises(KeyExhausted) as refused:
+                pc.decrypt(Ciphertext(BitString(e, l)), code, pool)
+            refusals.add(str(refused.value))
+            assert pool.cursor == 0
+        assert refusals == {f"pool test: need {l} bits, {r} remain"}
 
 
 def test_desynchronized_pool_detected_by_audit():
@@ -175,7 +198,7 @@ def test_code_fingerprint_is_pinned_and_order_free():
     reordered = pc.PrefixCode({b"m2": B("1"), b"m1": B("01"), b"m0": B("00")})
     assert code_fingerprint(reordered) == pinned
     rng = pc.SeededRandomSource(3)
-    blob = write_frame(pc.encrypt(b"m2", code, pool_with("1"), rng), code, rng)
+    blob = write_frame(pc.encrypt(b"m2", code, pool_with("10"), rng), code, rng)
     assert blob[:17] == b"PCWF\x01" + pinned + (2).to_bytes(4, "big")
 
 

@@ -1,6 +1,7 @@
 import ast
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -144,34 +145,184 @@ def test_encrypt_consumes_key_on_disk(tmp_path, capsys):
     assert "cursor     2" in capsys.readouterr().out
 
 
-def test_stdout_does_not_depend_on_the_message(tmp_path, capsys):
-    # "a" and "c" get codewords of different lengths, so printing s or a
-    # cursor delta would tell them apart
-    space = write(tmp_path, "space.txt", SPACE_122)
-    book = str(tmp_path / "codebook")
-    main(["build-code", "--space", space, "--out", book])
-    with open(book) as f:
+def tree(root):
+    """Every path under root, relative to it."""
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+def test_stdout_does_not_depend_on_the_message(tmp_path, monkeypatch, capsys):
+    # The contract: nothing encrypt or decrypt emits depends on which message
+    # was sent: stdout, stderr, the exit code, whether a frame or an output
+    # file appears and the frame's length, at a pool end (r < l) as with key
+    # to spare. "a" and "c" get codewords of 1 and 2 bits, l = 2, so printing
+    # s or a cursor delta, or refusing only the longer word, would tell them
+    # apart.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_122)
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    with open("codebook") as f:
         code, _ = codec.load_codebook(f)
-    assert len(codec.encode(code, b"a")) != len(codec.encode(code, b"c"))
-    key = str(tmp_path / "k.pool")
-    main(["keygen", "64", "--out", key, "--rng", "seeded:9", "--insecure-test"])
-    frame, msg, msg_out = (str(tmp_path / n) for n in ("frame", "msg", "msg.out"))
-    enc_out, dec_out = [], []
-    for i, message in enumerate((b"a", b"c")):
-        alice, bob = (str(tmp_path / f"{who}{i}.pool") for who in ("alice", "bob"))
-        shutil.copyfile(key, alice)
-        shutil.copyfile(key, bob)
+    assert sorted(len(codec.encode(code, m)) for m in code.codebook) == [1, 2, 2]
+    l = code.max_len
+    assert main(["keygen", "64", "--out", "full.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    frame, out = tmp_path / "frame", tmp_path / "msg.out"
+    for remain in (0, 1, 64):
+        shutil.copyfile("full.pool", "k.pool")
+        keystore.KeyPool.load("k.pool").take(64 - remain)
+        pool = (tmp_path / "k.pool").read_bytes()
+        seen = set()
+        for message in code.codebook:
+            (tmp_path / "msg").write_bytes(message)
+            for name in ("alice.pool", "bob.pool"):
+                shutil.copyfile("k.pool", name)
+            # the receiver's frame is sent from the full pool, where it succeeds
+            shutil.copyfile("full.pool", "carol.pool")
+            assert main(["encrypt", "--code", "codebook", "--key", "carol.pool",
+                         "--in", "msg", "--out", "sent"]) == 0
+            capsys.readouterr()
+            status = main(["encrypt", "--code", "codebook", "--key", "alice.pool",
+                           "--in", "msg", "--out", "frame"])
+            sender = (status, *capsys.readouterr(), frame.exists() and len(frame.read_bytes()))
+            status = main(["decrypt", "--code", "codebook", "--key", "bob.pool",
+                           "--in", "sent", "--out", "msg.out"])
+            receiver = (status, *capsys.readouterr(), out.exists())
+            if remain < l:  # refused: neither pool moved
+                assert (tmp_path / "alice.pool").read_bytes() == pool
+                assert (tmp_path / "bob.pool").read_bytes() == pool
+            else:  # the cursor moves by s, which `audit` shows only on request
+                assert out.read_bytes() == message
+            seen.add((sender, receiver))
+            for path in (frame, out):
+                path.unlink(missing_ok=True)
+        assert len(seen) == 1
+        (sender, receiver), = seen
+        if remain < l:
+            pool_id = keystore.KeyPool.load("k.pool").pool_id
+            refusal = f"ERROR KeyExhausted: pool {pool_id}: need {l} bits, {remain} remain\n"
+            assert sender == (2, "", refusal, False)
+            assert receiver == (2, "", refusal, False)
+        else:
+            assert sender[0] == receiver[0] == 0 and sender[2] == receiver[2] == ""
+            assert sender[3] == 17 + 1  # header and one byte of l = 2 bits
+
+
+def test_a_failed_decrypt_spends_no_key(tmp_path, monkeypatch, capsys):
+    # an output path that cannot be written fails before the take: otherwise
+    # the receiver's cursor moves, and a retry of the same frame decodes to
+    # another message with exit 0
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_122)
+    (tmp_path / "dir").mkdir()
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "alice.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    shutil.copyfile("alice.pool", "bob.pool")
+    decrypt = ["decrypt", "--code", "codebook", "--key", "bob.pool", "--in", "frame", "--out"]
+    for message in (b"c", b"a", b"b"):
         (tmp_path / "msg").write_bytes(message)
-        capsys.readouterr()
-        assert main(["encrypt", "--code", book, "--key", alice,
-                     "--in", msg, "--out", frame]) == 0
-        enc_out.append(capsys.readouterr().out)
-        assert main(["decrypt", "--code", book, "--key", bob,
-                     "--in", frame, "--out", msg_out]) == 0
-        dec_out.append(capsys.readouterr().out)
+        assert main(["encrypt", "--code", "codebook", "--key", "alice.pool",
+                     "--in", "msg", "--out", "frame"]) == 0
+        bob = (tmp_path / "bob.pool").read_bytes()
+        files = tree(tmp_path)
+        for bad in ("missing/out", "dir"):
+            capsys.readouterr()
+            assert main([*decrypt, bad]) == 2
+            assert capsys.readouterr().err.startswith("ERROR ")
+            assert (tmp_path / "bob.pool").read_bytes() == bob
+            assert tree(tmp_path) == files
+        assert main([*decrypt, "msg.out"]) == 0
         assert (tmp_path / "msg.out").read_bytes() == message
-    assert enc_out[0] == enc_out[1]
-    assert dec_out[0] == dec_out[1]
+        assert (keystore.KeyPool.load("bob.pool").cursor
+                == keystore.KeyPool.load("alice.pool").cursor)
+
+
+def test_out_that_is_a_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
+    # a FIFO, or a device such as /dev/null, is opened and written as it is:
+    # renaming a temp file over it would turn it into a regular file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "alice.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    shutil.copyfile("alice.pool", "bob.pool")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    for argv in (["encrypt", "--key", "alice.pool", "--in", "msg"],
+                 ["decrypt", "--key", "bob.pool", "--in", "frame"]):
+        # a reader that is already open lets the writer's open return at once
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*argv, "--code", "codebook", "--out", str(fifo)]) == 0
+            received.append(os.read(reader, 1 << 16))
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        (tmp_path / "frame").write_bytes(received[0])
+    assert len(received[0]) == 17 + 1  # header and one byte of l = 2 bits
+    assert received[1] == b"alpha"
+    assert tree(tmp_path) == sorted(["alice.pool", "bob.pool", "codebook", "fifo",
+                                     "frame", "msg", "space.txt"])
+
+
+def test_out_is_created_0600_and_an_existing_one_keeps_its_mode(
+        tmp_path, monkeypatch, capsys):
+    # frames and plaintexts are created 0600, as pools are; a file that is
+    # already there keeps the mode (and, for root, the owner) it had
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "alice.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    shutil.copyfile("alice.pool", "bob.pool")
+    frame, out = tmp_path / "frame", tmp_path / "msg.out"
+    owner = (1, 1) if os.geteuid() == 0 else (os.geteuid(), os.getegid())
+    for mode in (None, 0o600, 0o640, 0o604):
+        for path in (frame, out):
+            path.unlink(missing_ok=True)
+            if mode is not None:
+                path.write_bytes(b"old")
+                os.chown(path, *owner)
+                os.chmod(path, mode)
+        assert main(["encrypt", "--code", "codebook", "--key", "alice.pool",
+                     "--in", "msg", "--out", "frame"]) == 0
+        assert main(["decrypt", "--code", "codebook", "--key", "bob.pool",
+                     "--in", "frame", "--out", "msg.out"]) == 0
+        assert out.read_bytes() == b"alpha"
+        for path in (frame, out):
+            st = os.stat(path)
+            assert stat.S_IMODE(st.st_mode) == (0o600 if mode is None else mode)
+            if mode is not None:
+                assert (st.st_uid, st.st_gid) == owner
+
+
+def test_a_symlinked_pool_in_the_key_dir_keeps_its_cursor(tmp_path, monkeypatch, capsys):
+    # the save renames over the real file, so the link stays a link and the
+    # real pool, not a copy beside the link, records the spent bits
+    monkeypatch.chdir(tmp_path)
+    keys, secure = tmp_path / "keys", tmp_path / "secure"
+    keys.mkdir()
+    secure.mkdir()
+    monkeypatch.setenv(cli.KEY_DIR_ENV, str(keys))
+    write(tmp_path, "space.txt", SPACE_4)  # uniform: every codeword has 2 bits
+    (tmp_path / "msg").write_bytes(b"alpha")
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", str(secure / "alice.pool"),
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    (keys / "alice.pool").symlink_to(os.path.join("..", "secure", "alice.pool"))
+    for cursor in (2, 4):
+        assert main(["encrypt", "--code", "codebook", "--key", "alice.pool",
+                     "--in", "msg", "--out", "frame"]) == 0
+        assert (keys / "alice.pool").is_symlink()
+        assert tree(keys) == ["alice.pool"] and tree(secure) == ["alice.pool"]
+        assert keystore.KeyPool.load(secure / "alice.pool").cursor == cursor
 
 
 def test_cli_import_does_not_load_scipy():
@@ -471,9 +622,14 @@ def test_key_exhaustion_surfaces(tmp_path, capsys):
     main(["build-code", "--space", space, "--out", book])
     main(["keygen", "1", "--out", key, "--rng", "seeded:9", "--insecure-test"])
     (tmp_path / "msg").write_bytes(b"alpha")
+    (tmp_path / "f").write_bytes(b"old")
+    files = tree(tmp_path)
     assert main(["encrypt", "--code", book, "--key", key,
                  "--in", str(tmp_path / "msg"), "--out", str(tmp_path / "f")]) == 2
     assert "KeyExhausted" in capsys.readouterr().err
+    # an existing output file is left as it was, and no temp file is left
+    assert (tmp_path / "f").read_bytes() == b"old"
+    assert tree(tmp_path) == files
 
 
 def test_zero_denominator_in_space_file_is_an_error_line(tmp_path, capsys):
@@ -534,8 +690,11 @@ def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     ["report", "--space", "latin1.txt", "--code", "codebook"],
     ["encrypt", "--code", "latin1.book", "--key", "k.pool", "--in", "msg", "--out", "f"],
     ["build-code", "--space", "space.txt", "--codec", "external:false", "--out", "out"],
+    ["encrypt", "--code", "codebook", "--key", "k.pool", "--in", "msg", "--out", "missing/f"],
+    ["encrypt", "--code", "codebook", "--key", "k.pool", "--in", "msg", "--out", "dir"],
 ], ids=["keygen-rng", "encrypt-rng", "build-code-space", "verify-space",
-        "report-space", "encrypt-codebook", "external-exit-status"])
+        "report-space", "encrypt-codebook", "external-exit-status",
+        "encrypt-out-in-missing-dir", "encrypt-out-is-a-dir"])
 def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
@@ -543,14 +702,17 @@ def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "latin1.txt").write_bytes('"caf\xe9" 1/1\n'.encode("latin-1"))
     (tmp_path / "latin1.book").write_bytes(b"padcrypt-codebook 1 huffman 1\n0 ff \xe9\n")
     (tmp_path / "msg").write_bytes(b"alpha")
+    (tmp_path / "dir").mkdir()
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
     assert main(["keygen", "64", "--out", "k.pool",
                  "--rng", "seeded:9", "--insecure-test"]) == 0
+    files = tree(tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("ERROR ")
-    # a rejected encrypt spends no key bits
+    # a rejected encrypt spends no key bits and leaves no file behind
     assert keystore.KeyPool.load(tmp_path / "k.pool").cursor == 0
+    assert tree(tmp_path) == files
 
 
 @pytest.mark.parametrize("case", [*HOSTILE_CODEBOOKS, "pool-cut-in-cursor", "pool-cursor-beyond",
@@ -580,9 +742,9 @@ def test_hostile_input_files_are_error_lines(tmp_path, monkeypatch, capsys, case
         blob = (tmp_path / "frame").read_bytes()
         (tmp_path / "frame").write_bytes(blob[:4] + b"\x02" + blob[5:])
         argv, name, error = decrypt, "WireFormatError", "unsupported frame version 2"
-    else:  # one key bit left: no 1-bit window is a codeword
+    else:  # one key bit left, where every message needs l = 2
         keystore.KeyPool.load("k.pool").take(63)
-        argv, name, error = decrypt, "KeyExhausted", "only 1 bits remain"
+        argv, name, error = decrypt, "KeyExhausted", "need 2 bits, 1 remain"
     pool = (tmp_path / "k.pool").read_bytes()
     capsys.readouterr()
     assert main(argv) == 2

@@ -58,7 +58,14 @@ def test_peek_does_not_consume():
     assert str(pool.peek(4)) == "1100"
     assert pool.cursor == 0
     pool.take(2)
-    assert str(pool.peek(10)) == "0010"  # clipped to remaining
+    # past the end peek is refused as take is, with the same text, not clipped
+    for read in (pool.peek, pool.take):
+        with pytest.raises(KeyExhausted, match="^pool t: need 10 bits, 4 remain$"):
+            read(10)
+        assert pool.cursor == 2
+    assert str(pool.peek(4)) == "0010"
+    with pytest.raises(ValueError):
+        pool.peek(-1)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -70,6 +77,23 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.material == pool.material
     assert loaded.cursor == 5
     assert loaded.pool_id == pool.pool_id
+
+
+def test_save_through_a_symlink_updates_the_real_file(tmp_path):
+    # renaming over the link itself would replace it with a copy and leave
+    # the real file at cursor 0, to hand out the same bits again
+    (tmp_path / "secure").mkdir()
+    (tmp_path / "keys").mkdir()
+    real = tmp_path / "secure" / "k.pool"
+    generate_pool(64, SeededRandomSource(3)).save(real)
+    link = tmp_path / "keys" / "k.pool"
+    link.symlink_to(os.path.join("..", "secure", "k.pool"))
+    KeyPool.load(link).take(8)
+    assert link.is_symlink()
+    assert KeyPool.load(real).cursor == 8
+    assert os.stat(real).st_mode & 0o777 == 0o600
+    assert os.listdir(tmp_path / "keys") == ["k.pool"]
+    assert os.listdir(tmp_path / "secure") == ["k.pool"]
 
 
 def test_load_never_reissues_consumed_bits(tmp_path):
