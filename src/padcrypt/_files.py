@@ -1,8 +1,8 @@
 """Writing a file so that a failure leaves it as it was.
 
-Key pools, frames and plaintexts all go through `write_file`: the
-destination is opened before the bytes are produced, so an unwritable
-path fails before any key bit is spent.
+Every file padcrypt writes (pools, frames, plaintexts, codebooks, reports)
+goes through `write_file`: the destination is opened before the bytes are
+produced, so an unwritable path fails before any key bit is spent.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ def write_file(path: "str | Path", produce: "Callable[[], bytes]",
                mode: "int | None" = None, durable: bool = False) -> None:
     """Write produce()'s bytes to path; produce runs once path is open.
 
-    A regular file, or a path not there yet, gets a temp file beside the
-    real file (so a symlinked path keeps its link), renamed over it: a
-    failure leaves no new file and an existing one as it was.  The result
-    has `mode`, or if None an existing file's own mode and 0600 for a new
-    one; an existing file's owner is kept where the process may set it.
+    A regular file, or a path not there yet, gets a temp file of its own
+    beside the real file (so a symlinked path keeps its link), renamed over
+    it: a failure leaves no new file and an existing one as it was.  The
+    result has `mode`, or if None an existing file's own mode and 0600 for a
+    new one; an existing file's owner is kept where the process may set it.
     Any other file (a device, a FIFO) is opened and written in place, so it
     stays what it is.  `durable` syncs the bytes and the rename to disk.
     """
@@ -41,8 +41,8 @@ def write_file(path: "str | Path", produce: "Callable[[], bytes]",
         return
     real = os.path.realpath(path)
     parent, name = os.path.split(real)
-    tmp = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         if st is not None:
             try:
@@ -51,9 +51,7 @@ def write_file(path: "str | Path", produce: "Callable[[], bytes]",
                 pass  # only root may give a file away: it becomes ours
         if mode is None:
             mode = 0o600 if st is None else stat.S_IMODE(st.st_mode)
-        # the mode argument of os.open applies only on create; a stale temp
-        # file keeps its own
-        os.fchmod(fd, mode)
+        os.fchmod(fd, mode)  # os.open gave 0600 less the umask
         _write_all(fd, produce())
         if durable:
             os.fsync(fd)

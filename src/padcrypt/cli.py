@@ -14,6 +14,7 @@ abbreviations and the `--` separator are not accepted.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -25,6 +26,8 @@ from .errors import PadcryptError
 # `verify` and `report` load the verifier.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import TextIO
+
     from .codec import ExternalCompressor, MessageSpace, PrefixCode
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
@@ -75,6 +78,15 @@ def _read(path: str, mode: str = "r") -> "str | bytes":
         return f.read()
 
 
+def _status_to(out: str) -> "TextIO":
+    """stderr if `out` is the file stdout writes to (`--out /dev/stdout`), so
+    that file gets the output alone, else stdout.  Ask before `out` is written."""
+    try:
+        return sys.stderr if os.path.samestat(os.stat(out), os.fstat(1)) else sys.stdout
+    except OSError:  # out is not there yet, or stdout is closed
+        return sys.stdout
+
+
 def resolve_key_path(path: str) -> str:
     base = os.environ.get(KEY_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -118,8 +130,10 @@ def cmd_keygen(args: SimpleNamespace) -> int:
             raise PadcryptError("seeded rng for keygen requires --insecure-test")
         rng = SeededRandomSource(seed)
     pool = keystore.generate_pool(args.nbits, rng)
-    pool.save(resolve_key_path(args.out))
-    print(f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}")
+    path = resolve_key_path(args.out)
+    status = _status_to(path)
+    pool.save(path)
+    print(f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}", file=status)
     return EXIT_OK
 
 
@@ -138,20 +152,23 @@ def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
 
 def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
+    from ._files import write_file
 
     space = parse_space_file(_read(args.space))
     code, name = _build_code(space, args.codec)
-    with open(args.out, "w", encoding="utf-8") as f:
-        codec.save_codebook(code, f, name)
-    print(f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")
+    out = io.StringIO()
+    codec.save_codebook(code, out, name)
+    status = _status_to(args.out)
+    write_file(args.out, lambda: out.getvalue().encode())
+    print(f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}",
+          file=status)
     return EXIT_OK
 
 
 def _load_code(path: str) -> tuple[PrefixCode, str]:
     from . import codec
 
-    with open(path, encoding="utf-8") as f:
-        return codec.load_codebook(f)
+    return codec.load_codebook(io.StringIO(_read(path)))
 
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
@@ -165,12 +182,13 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     message = _read(args.infile, "rb")
+    status = _status_to(args.out)
     # --out is opened before encrypt takes a key bit, so an unwritable path
     # spends none
     write_file(args.out, lambda: cipher.write_frame(
         cipher.encrypt(message, code, pool, rng), code, rng))
     # only message-independent fields: s or a cursor delta would reveal |codeword|
-    print(f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
+    print(f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}", file=status)
     return EXIT_OK
 
 
@@ -181,8 +199,9 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
+    status = _status_to(args.out)
     write_file(args.out, lambda: cipher.decrypt(ciphertext, code, pool))
-    print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
+    print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}", file=status)
     return EXIT_OK
 
 
@@ -197,16 +216,20 @@ def cmd_verify(args: SimpleNamespace) -> int:
               " it exists only to demonstrate the length leak.", file=sys.stderr)
     report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo,
                                          max_l=max_l)
+    status = _status_to(args.report_out) if args.report_out else sys.stdout
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            report.write_text(f)
+        from ._files import write_file
+
+        out = io.StringIO()
+        report.write_text(out)
+        write_file(args.report_out, lambda: out.getvalue().encode())
     if report.perfect:
-        print("PERFECT")
+        print("PERFECT", file=status)
         return EXIT_OK
     leak = verify.leak_mutual_information(space, code)
-    print("LEAKY")
+    print("LEAKY", file=status)
     print(f"max deviation {report.max_deviation} "
-          f"(I(M; length) = {leak.mutual_information:.4f} bits)")
+          f"(I(M; length) = {leak.mutual_information:.4f} bits)", file=status)
     return EXIT_LEAKY
 
 

@@ -111,13 +111,14 @@ class PrefixCode(Record):
         if len(table) != len(codebook):
             raise InvalidCode("codebook is not injective")
         lengths = tuple(sorted({n for n, _ in table}))
-        # each word looks up its prefixes at the shorter lengths only, so the
-        # work stays within the total codeword bits
-        for n, v in table:
-            for k in lengths[:lengths.index(n)]:
-                if (k, v >> (n - k)) in table:
-                    raise InvalidCode("codeword set is not prefix-free")
-        object.__setattr__(self, "max_len", lengths[-1])
+        # left-aligned and sorted (shorter first on a tie), a word is a prefix of
+        # some other word exactly when it is a prefix of the word right after it
+        top = lengths[-1]
+        words = sorted((v << (top - n), n) for n, v in table)
+        for (a, n), (b, _) in zip(words, words[1:]):
+            if a >> (top - n) == b >> (top - n):
+                raise InvalidCode("codeword set is not prefix-free")
+        object.__setattr__(self, "max_len", top)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_lengths", lengths)
 

@@ -69,9 +69,7 @@ class KeyPool:
                 + self.cursor.to_bytes(8, "big")
                 + len(self.material).to_bytes(8, "big")
                 + self.material.to_bytes())
-        # a temp file renamed over the real file: a failed write leaves the
-        # old pool whole, and a symlinked path keeps its link and the file
-        # its cursor; always 0600, and on disk before the bits are released
+        # always 0600, and on disk before the bits are released
         write_file(path, lambda: blob, 0o600, durable=True)
 
     @classmethod

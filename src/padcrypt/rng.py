@@ -7,21 +7,10 @@ import os
 from .bits import BitString
 
 
-def _os_randbits(n: int) -> int:
-    """n bits from os.urandom, as `random.SystemRandom.getrandbits` (and so
-    `secrets.randbits`) draws them, without importing `secrets`, which loads
-    `hashlib` and `hmac`."""
-    return int.from_bytes(os.urandom((n + 7) // 8), "big") >> (-n % 8)
-
-
 class RandomSource:
-    """Supplier of independent uniform bits."""
+    """Supplier of independent uniform bits: `bits(n)` is its one draw."""
 
     def bits(self, n: int) -> BitString:
-        raise NotImplementedError
-
-    def uniform(self) -> float:
-        """Float in [0, 1), for sampling messages in empirical tests."""
         raise NotImplementedError
 
 
@@ -29,10 +18,10 @@ class OsRandomSource(RandomSource):
     """OS-backed cryptographically secure source (the default)."""
 
     def bits(self, n: int) -> BitString:
-        return BitString(_os_randbits(n), n)
-
-    def uniform(self) -> float:
-        return _os_randbits(53) / (1 << 53)
+        # n bits from os.urandom, as `random.SystemRandom.getrandbits` (and so
+        # `secrets.randbits`) draws them, without importing `secrets`, which
+        # loads `hashlib` and `hmac`
+        return BitString(int.from_bytes(os.urandom((n + 7) // 8), "big") >> (-n % 8), n)
 
 
 class SeededRandomSource(RandomSource):
@@ -45,6 +34,3 @@ class SeededRandomSource(RandomSource):
 
     def bits(self, n: int) -> BitString:
         return BitString(self._rng.getrandbits(n), n)
-
-    def uniform(self) -> float:
-        return self._rng.random()

@@ -263,8 +263,8 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
         if fixed_message is not None:
             m = fixed_message
         else:
-            # first bound above u; float dust past the last bound picks the last message
-            i = bisect.bisect_right(bounds, rng.uniform())
+            # first bound above u in [0, 1); dust past the last bound picks the last message
+            i = bisect.bisect_right(bounds, rng.bits(53).value / (1 << 53))
             m = space.messages[min(i, last)]
         x = encode(code, m)
         counts[cipher._fill(x.xor(rng.bits(len(x))), l, rng).value] += 1

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import errno
 import os
 import shutil
 import stat
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import padcrypt
-from padcrypt import cli, codec, keystore
+from padcrypt import cipher, cli, codec, keystore
 from padcrypt.cli import main, parse_space_file
 from padcrypt.errors import PadcryptError
 
@@ -303,6 +305,111 @@ def test_out_is_created_0600_and_an_existing_one_keeps_its_mode(
                 assert (st.st_uid, st.st_gid) == owner
 
 
+# build-code --out and verify --report-out, each with how its text begins
+TEXT_OUTPUTS = {
+    "build-code": (["build-code", "--space", "space.txt", "--out"],
+                   b"padcrypt-codebook 1 huffman 3\n"),
+    "verify": (["verify", "--space", "space.txt", "--code", "codebook", "--report-out"],
+               b"l 2\nverdict perfect\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_OUTPUTS))
+def test_a_codebook_or_report_goes_through_the_file_writer(
+        tmp_path, monkeypatch, capsys, command):
+    # as frames and plaintexts: a write that fails part-way leaves the old
+    # file whole and no temp file, a FIFO stays a FIFO, a new file is 0600
+    argv, start = TEXT_OUTPUTS[command]
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "space.txt", SPACE_122)
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+
+    assert main([*argv, "new"]) == 0
+    expected = (tmp_path / "new").read_bytes()
+    assert expected.startswith(start)
+    assert stat.S_IMODE(os.stat("new").st_mode) == 0o600
+
+    (tmp_path / "old").write_bytes(b"old contents\n")
+    files = tree(tmp_path)
+    real_write, writes = os.write, []
+
+    def short_then_full(fd, data):
+        writes.append(fd)
+        if len(writes) == 1:
+            return real_write(fd, data[:7])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_then_full)
+        assert main([*argv, "old"]) == 2
+    assert len(writes) == 2
+    assert capsys.readouterr().err.startswith("ERROR OSError: ")
+    assert (tmp_path / "old").read_bytes() == b"old contents\n"
+    assert tree(tmp_path) == files
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main([*argv, str(fifo)]) == 0
+        assert os.read(reader, 1 << 16) == expected
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_that_is_the_commands_own_stdout_gets_the_output_alone(tmp_path):
+    # --out /dev/stdout names the file or pipe stdout writes to: it gets the
+    # output alone, as with a named --out, and the status line goes to stderr
+    write(tmp_path, "space.txt", SPACE_4)
+    (tmp_path / "msg").write_bytes(b"alpha")
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop(cli.KEY_DIR_ENV, None)
+
+    def cli_to(stdout, *argv):
+        # stdout is a file in tmp_path, made 0644 as a shell would, or None
+        # for a pipe
+        with (open(tmp_path / stdout, "wb") if stdout
+              else contextlib.nullcontext(subprocess.PIPE)) as f:
+            if stdout:
+                os.chmod(f.fileno(), 0o644)
+            proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", *argv], env=env,
+                                  cwd=tmp_path, stdout=f, stderr=subprocess.PIPE,
+                                  timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith(b" -> /dev/stdout\n" if "--out" in argv else b"PERFECT\n")
+        return proc.stdout if stdout is None else (tmp_path / stdout).read_bytes()
+
+    cli_to("codebook", "build-code", "--space", "space.txt", "--out", "/dev/stdout")
+    with open(tmp_path / "codebook", encoding="utf-8") as f:
+        code, _ = codec.load_codebook(f)
+    cli_to("alice.pool", "keygen", "64", "--rng", "seeded:9", "--insecure-test",
+           "--out", "/dev/stdout")
+    alice = keystore.KeyPool.load(tmp_path / "alice.pool")
+    assert (len(alice.material), alice.cursor) == (64, 0)
+    assert stat.S_IMODE(os.stat(tmp_path / "alice.pool").st_mode) == 0o600
+    for name in ("bob.pool", "carol.pool"):
+        shutil.copyfile(tmp_path / "alice.pool", tmp_path / name)
+
+    encrypt = ["encrypt", "--code", "codebook", "--key", "alice.pool", "--in", "msg",
+               "--out", "/dev/stdout"]
+    frames = [cli_to("frame", *encrypt), cli_to(None, *encrypt)]
+    bob = keystore.KeyPool.load(tmp_path / "bob.pool")
+    for frame in frames:
+        assert len(frame) == 17 + 1  # header and one byte of l = 2 bits
+        assert cipher.decrypt(cipher.read_frame(frame, code), code, bob) == b"alpha"
+    plain = cli_to("plain.txt", "decrypt", "--code", "codebook", "--key", "carol.pool",
+                   "--in", "frame", "--out", "/dev/stdout")
+    assert plain == b"alpha"
+    report = cli_to("report", "verify", "--space", "space.txt", "--code", "codebook",
+                    "--report-out", "/dev/stdout")
+    assert report.startswith(b"l 2\nverdict perfect\n")
+
+
 def test_a_symlinked_pool_in_the_key_dir_keeps_its_cursor(tmp_path, monkeypatch, capsys):
     # the save renames over the real file, so the link stays a link and the
     # real pool, not a copy beside the link, records the spent bits
@@ -438,7 +545,7 @@ def cold_call(tmp_path, monkeypatch):
     ("encrypt", NO_SPACE),
     ("decrypt", NO_SPACE | NO_RANDOM),
     ("report", NO_KEYS),
-    ("verify", NO_KEYS),
+    ("verify", NO_KEYS | {"padcrypt._files"}),  # --report-out alone writes a file
 ], ids=list(COLD_CALLS))
 def test_a_cold_call_loads_only_what_its_command_runs(cold_call, command, unloaded):
     assert not unloaded & cold_call(command)

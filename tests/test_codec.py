@@ -408,6 +408,36 @@ def test_prefix_code_construction_enforces_invariants():
 @settings(max_examples=300)
 @given(st.lists(st.text("01", max_size=5), max_size=8))
 def test_prefix_code_accepts_exactly_the_prefix_free_injective_books(words):
+    assert_prefix_code_verdict(words)
+
+
+@st.composite
+def near_prefix_free_words(draw):
+    """Some leaves of a random binary tree, so prefix-free, and perhaps one
+    word more that is a copy, a prefix or an extension of one of them."""
+    words = [""]
+    for _ in range(draw(st.integers(0, 16))):
+        w = words.pop(draw(st.integers(0, len(words) - 1)))
+        words += [w + "0", w + "1"]
+    words = [w for w in words if draw(st.integers(0, 3))] or words[:1]
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(words))
+        extra = w[:draw(st.integers(0, len(w)))] + draw(st.text("01", max_size=3))
+        words.insert(draw(st.integers(0, len(words))), extra)
+    return draw(st.permutations(words))
+
+
+@settings(max_examples=500)
+@given(near_prefix_free_words())
+def test_prefix_code_check_matches_a_pairwise_check_near_the_edge(words):
+    # lists of random words are rarely prefix-free past a few words; these
+    # are, or miss it by one word, which may sort far from the word it hits
+    assert_prefix_code_verdict(words)
+
+
+def assert_prefix_code_verdict(words):
+    """PrefixCode accepts the words, or refuses them with the first failed
+    check's text, exactly as a check of every ordered pair says."""
     book = {bytes([i]): B(w) for i, w in enumerate(words)}
     pairs = [(a, b) for i, a in enumerate(words) for j, b in enumerate(words) if i != j]
     if not words:

@@ -285,6 +285,19 @@ def test_empirical_uniformity_passes_for_correct_cipher():
     assert sum(rep.counts) == 20_000
 
 
+def test_os_sourced_sampling_draws_what_it_drew_before(monkeypatch):
+    # each message choice is one 53-bit draw, the 7 bytes of os.urandom that
+    # random.SystemRandom().random() reads, before the key and pad draws, so
+    # fixed bytes fix the counts
+    stream = random.Random(16)
+    monkeypatch.setattr(os, "urandom",
+                        lambda n: stream.getrandbits(8 * n).to_bytes(n, "big"))
+    space = pc.MessageSpace([b"a", b"b", b"c", b"d"], [Fraction(1, 2), Fraction(1, 4),
+                                                       Fraction(1, 8), Fraction(1, 8)])
+    rep = pc.empirical_uniformity(space, pc.build_huffman(space), pc.OsRandomSource(), 200)
+    assert rep.counts == [27, 23, 24, 25, 26, 24, 23, 28]
+
+
 def test_empirical_uniformity_fixed_message():
     sp = uniform_space(4)
     rep = pc.empirical_uniformity(sp, small_l_code(),
@@ -332,13 +345,17 @@ def test_empirical_uniformity_sampling_matches_linear_scan():
     assert edge >= sum([0.1] * 10)
 
     class EdgeDraws(pc.SeededRandomSource):
+        # every 7th message choice, a 53-bit draw, is all ones: u = edge
         def __init__(self, seed):
             super().__init__(seed)
             self.draws = 0
 
-        def uniform(self):
-            self.draws += 1
-            return edge if self.draws % 7 == 0 else super().uniform()
+        def bits(self, n):
+            if n == 53:
+                self.draws += 1
+                if self.draws % 7 == 0:
+                    return BitString((1 << 53) - 1, 53)
+            return super().bits(n)
 
     def linear_scan_counts(rng, trials):
         cum, acc = [], 0.0
@@ -348,7 +365,7 @@ def test_empirical_uniformity_sampling_matches_linear_scan():
         l = code.max_len
         counts = [0] * (2 ** l)
         for _ in range(trials):
-            u = rng.uniform()
+            u = rng.bits(53).value / 2 ** 53
             m = cum[-1][1]
             for bound, msg in cum:
                 if u < bound:
