@@ -26,6 +26,7 @@ from .errors import PadcryptError
 # `verify` and `report` load the verifier.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from typing import TextIO
 
     from .codec import ExternalCompressor, MessageSpace, PrefixCode
@@ -87,6 +88,29 @@ def _status_to(out: str) -> "TextIO":
         return sys.stdout
 
 
+def _write_then_say(out: str, write: "Callable[[], object]", text: str) -> None:
+    """Run write(), which puts a command's output at `out`, then print the
+    status `text`, with a path's bytes as they were given.
+
+    Once the output is in place the command has done its work (for encrypt
+    and decrypt the key is spent), so a line that cannot be written, such as
+    to a closed pipe, does not turn the call into a failure.
+    """
+    status = _status_to(out)
+    write()
+    if status is None:  # the stream's descriptor was closed when Python started
+        return
+    try:
+        status.flush()
+        status.buffer.write(os.fsencode(text + "\n"))
+        status.buffer.flush()
+    except OSError:
+        # what is still buffered then goes to os.devnull at exit, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, status.fileno())
+        os.close(devnull)
+
+
 def resolve_key_path(path: str) -> str:
     base = os.environ.get(KEY_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -131,9 +155,8 @@ def cmd_keygen(args: SimpleNamespace) -> int:
         rng = SeededRandomSource(seed)
     pool = keystore.generate_pool(args.nbits, rng)
     path = resolve_key_path(args.out)
-    status = _status_to(path)
-    pool.save(path)
-    print(f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}", file=status)
+    _write_then_say(path, lambda: pool.save(path),
+                    f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}")
     return EXIT_OK
 
 
@@ -158,10 +181,9 @@ def cmd_build_code(args: SimpleNamespace) -> int:
     code, name = _build_code(space, args.codec)
     out = io.StringIO()
     codec.save_codebook(code, out, name)
-    status = _status_to(args.out)
-    write_file(args.out, lambda: out.getvalue().encode())
-    print(f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}",
-          file=status)
+    _write_then_say(args.out, lambda: write_file(args.out, lambda: out.getvalue().encode()),
+                    f"codebook {name}: {len(code.codebook)} messages, l={code.max_len}"
+                    f" -> {args.out}")
     return EXIT_OK
 
 
@@ -182,13 +204,12 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     message = _read(args.infile, "rb")
-    status = _status_to(args.out)
     # --out is opened before encrypt takes a key bit, so an unwritable path
-    # spends none
-    write_file(args.out, lambda: cipher.write_frame(
-        cipher.encrypt(message, code, pool, rng), code, rng))
-    # only message-independent fields: s or a cursor delta would reveal |codeword|
-    print(f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}", file=status)
+    # spends none; the line has only message-independent fields, as s or a
+    # cursor delta would reveal |codeword|
+    _write_then_say(args.out, lambda: write_file(args.out, lambda: cipher.write_frame(
+        cipher.encrypt(message, code, pool, rng), code, rng)),
+        f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 
 
@@ -199,9 +220,9 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
     code, _ = _load_code(args.code)
     pool = keystore.KeyPool.load(resolve_key_path(args.key))
     ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
-    status = _status_to(args.out)
-    write_file(args.out, lambda: cipher.decrypt(ciphertext, code, pool))
-    print(f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}", file=status)
+    _write_then_say(args.out, lambda: write_file(
+        args.out, lambda: cipher.decrypt(ciphertext, code, pool)),
+        f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
     return EXIT_OK
 
 
@@ -216,21 +237,23 @@ def cmd_verify(args: SimpleNamespace) -> int:
               " it exists only to demonstrate the length leak.", file=sys.stderr)
     report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo,
                                          max_l=max_l)
-    status = _status_to(args.report_out) if args.report_out else sys.stdout
+    if report.perfect:
+        verdict = "PERFECT"
+    else:
+        leak = verify.leak_mutual_information(space, code)
+        verdict = (f"LEAKY\nmax deviation {report.max_deviation} "
+                   f"(I(M; length) = {leak.mutual_information:.4f} bits)")
     if args.report_out:
         from ._files import write_file
 
         out = io.StringIO()
         report.write_text(out)
-        write_file(args.report_out, lambda: out.getvalue().encode())
-    if report.perfect:
-        print("PERFECT", file=status)
-        return EXIT_OK
-    leak = verify.leak_mutual_information(space, code)
-    print("LEAKY", file=status)
-    print(f"max deviation {report.max_deviation} "
-          f"(I(M; length) = {leak.mutual_information:.4f} bits)", file=status)
-    return EXIT_LEAKY
+        _write_then_say(args.report_out,
+                        lambda: write_file(args.report_out, lambda: out.getvalue().encode()),
+                        verdict)
+    else:
+        print(verdict)
+    return EXIT_OK if report.perfect else EXIT_LEAKY
 
 
 def cmd_report(args: SimpleNamespace) -> int:
@@ -238,9 +261,7 @@ def cmd_report(args: SimpleNamespace) -> int:
 
     space = parse_space_file(_read(args.space))
     code, name = _load_code(args.code)
-    kind = args.kind
-    if kind == "auto":
-        kind = {"huffman": "huffman", "trimmed-huffman": "trimmed"}.get(name, "generic")
+    kind = {"huffman": "huffman", "trimmed-huffman": "trimmed"}.get(name, "generic")
     rep = verify.bound_report(space, code, kind)
     leak = verify.leak_mutual_information(space, code)
     print(f"messages            {len(space)}")
@@ -272,8 +293,8 @@ def cmd_audit(args: SimpleNamespace) -> int:
 
 # --- dispatch ------------------------------------------------------------
 
-# An option's entry is its default, REQUIRED, `bool` for a flag, `int` for an
-# integer that defaults to None, or a tuple of choices, the first the default.
+# An option's entry is its default, REQUIRED, `bool` for a flag, or `int` for
+# an integer that defaults to None.
 # A name without dashes is a positional argument, which is always required.
 REQUIRED = object()
 
@@ -291,8 +312,7 @@ COMMANDS = {
                {"--space": REQUIRED, "--code": REQUIRED, "--max-l": int,
                 "--naive-leak-demo": bool, "--report-out": None}),
     "report": (cmd_report, "entropy and code-length bound report",
-               {"--space": REQUIRED, "--code": REQUIRED,
-                "--kind": ("auto", "huffman", "trimmed", "generic")}),
+               {"--space": REQUIRED, "--code": REQUIRED}),
     "audit": (cmd_audit, "print a pool's consumption state", {"--key": REQUIRED}),
 }
 _HELP = ("-h", "--help")
@@ -308,8 +328,6 @@ def _usage_word(name: str, spec: object) -> str:
         return name.upper()
     if spec is bool:
         return f"[{name}]"
-    if isinstance(spec, tuple):
-        return f"[{name} {{{','.join(spec)}}}]"
     word = f"{name} {_dest(name).upper()}"
     return word if spec is REQUIRED else f"[{word}]"
 
@@ -338,8 +356,6 @@ def _print_help(args: SimpleNamespace) -> int:
 def _default(name: str, spec: object) -> object:
     if spec is bool:
         return False
-    if isinstance(spec, tuple):
-        return spec[0]
     if spec is int:
         return None if name.startswith("-") else REQUIRED
     return spec
@@ -352,9 +368,6 @@ def _value(command: str, name: str, spec: object, token: str) -> object:
         except ValueError:
             raise PadcryptError(
                 f"{command}: {name} takes an integer, not {token!r}") from None
-    if isinstance(spec, tuple) and token not in spec:
-        raise PadcryptError(
-            f"{command}: {name} takes one of {', '.join(spec)}, not {token!r}")
     return token
 
 

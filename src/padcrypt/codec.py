@@ -274,18 +274,19 @@ def decode_prefix(code: PrefixCode, stream: BitString) -> tuple[bytes, int]:
 # --- codebook file format ------------------------------------------------
 #
 #   padcrypt-codebook 1 <codec-name> <L>
-#   <index> <message-hex or -> <codeword as ASCII 0/1>
+#   <index> <message-hex or -> <codeword as ASCII 0/1, or - if empty>
 
 CODEBOOK_MAGIC = "padcrypt-codebook"
 CODEBOOK_VERSION = 1
 
 
 def save_codebook(code: PrefixCode, out: TextIO, codec_name: str = "custom") -> None:
-    if " " in codec_name or not codec_name:
+    # load_codebook splits the header on any whitespace
+    if codec_name.split() != [codec_name]:
         raise ValueError("codec name must be a single nonempty token")
     out.write(f"{CODEBOOK_MAGIC} {CODEBOOK_VERSION} {codec_name} {len(code.codebook)}\n")
     for i, (m, w) in enumerate(code.codebook.items()):
-        out.write(f"{i} {m.hex() or '-'} {w}\n")
+        out.write(f"{i} {m.hex() or '-'} {str(w) or '-'}\n")
 
 
 def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
@@ -310,7 +311,7 @@ def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
         try:
             idx = int(parts[0])
             msg = b"" if parts[1] == "-" else bytes.fromhex(parts[1])
-            word = BitString.from_str(parts[2])
+            word = BitString(0, 0) if parts[2] == "-" else BitString.from_str(parts[2])
         except ValueError as exc:
             raise CodebookFormatError(f"line {lineno}: {exc}") from None
         entries.append((idx, msg, word))

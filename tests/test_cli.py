@@ -410,6 +410,135 @@ def test_out_that_is_the_commands_own_stdout_gets_the_output_alone(tmp_path):
     assert report.startswith(b"l 2\nverdict perfect\n")
 
 
+# each writing command's arguments up to its output path, and its exit code
+# on the files the writing_call fixture makes
+WRITING_CALLS = {
+    "keygen": (["keygen", "64", "--out"], 0),
+    "build-code": (["build-code", "--space", "space.txt", "--out"], 0),
+    "encrypt": (["encrypt", "--code", "codebook", "--key", "alice.pool", "--in", "msg",
+                 "--out"], 0),
+    "decrypt": (["decrypt", "--code", "codebook", "--key", "bob.pool", "--in", "frame",
+                 "--out"], 0),
+    "verify": (["verify", "--space", "space.txt", "--code", "codebook", "--naive-leak-demo",
+                "--report-out"], 3),
+}
+
+
+def check_written_output(tmp_path, command, out):
+    """The file a WRITING_CALLS command wrote to `out` loads as what it is."""
+    with open(tmp_path / "codebook", encoding="utf-8") as f:
+        code, _ = codec.load_codebook(f)
+    if command == "keygen":
+        pool = keystore.KeyPool.load(out)
+        assert (len(pool.material), pool.cursor) == (64, 0)
+    elif command == "build-code":
+        with open(out, encoding="utf-8") as f:
+            assert codec.load_codebook(f) == (code, "huffman")
+    elif command == "encrypt":
+        with open(out, "rb") as f:
+            frame = cipher.read_frame(f.read(), code)
+        carol = keystore.KeyPool.load(tmp_path / "carol.pool")
+        assert cipher.decrypt(frame, code, carol) == b"alpha"
+    elif command == "decrypt":
+        with open(out, "rb") as f:
+            assert f.read() == b"alpha"
+    else:
+        with open(out, encoding="utf-8") as f:
+            assert f.read().startswith("l 2\nverdict leaky\n")
+
+
+CLOSED = object()
+# runs the CLI with the rest of its arguments in a Python started with
+# descriptor 1 closed, which therefore has no sys.stdout
+CLOSED_STDOUT_CLI = ("import os, sys; os.close(1); "
+                     "os.execv(sys.executable, [sys.executable, '-m', 'padcrypt.cli', "
+                     "*sys.argv[1:]])")
+
+
+@pytest.fixture
+def writing_call(tmp_path, monkeypatch):
+    """Runs a WRITING_CALLS command cold, with its output at `out`, after the
+    files it reads are made; the pools are copies of one, so alice.pool
+    encrypts, bob.pool decrypts the frame dave.pool made, and carol.pool
+    decrypts what alice.pool encrypts."""
+    monkeypatch.chdir(tmp_path)
+    # a 1-bit and two 2-bit codewords, so the naive demo is leaky
+    write(tmp_path, "space.txt", '"alpha" 1/2\n"beta" 1/4\n00ff 1/4\n')
+    (tmp_path / "msg").write_bytes(b"alpha")
+    with contextlib.redirect_stdout(None):
+        assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+        assert main(["keygen", "64", "--out", "alice.pool"]) == 0
+        for name in ("bob.pool", "carol.pool", "dave.pool"):
+            shutil.copyfile("alice.pool", name)
+        assert main(["encrypt", "--code", "codebook", "--key", "dave.pool", "--in", "msg",
+                     "--out", "frame"]) == 0
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+
+    def run(command, out, stdout, unbuffered, **env):
+        """stdout is a file descriptor, subprocess.PIPE, or CLOSED to start
+        the call with its descriptor 1 closed"""
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop(cli.KEY_DIR_ENV, None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        else:
+            env.pop("PYTHONUNBUFFERED", None)
+        argv, code = WRITING_CALLS[command]
+        interpreter = ([sys.executable, "-c", CLOSED_STDOUT_CLI] if stdout is CLOSED
+                       else [sys.executable, "-m", "padcrypt.cli"])
+        proc = subprocess.run([*interpreter, *argv, out], env=env, timeout=60,
+                              stdout=None if stdout is CLOSED else stdout,
+                              stderr=subprocess.PIPE)
+        assert proc.returncode == code, proc.stderr
+        # the naive demo's one warning line, printed before it runs, and nothing more
+        warning = b"WARNING: naive mode" if command == "verify" else b""
+        assert proc.stderr.startswith(warning), proc.stderr
+        assert proc.stderr.count(b"\n") == bool(warning), proc.stderr
+        check_written_output(tmp_path, command, out)
+        return proc.stdout
+
+    return run
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", list(WRITING_CALLS))
+def test_a_status_line_that_cannot_be_printed_leaves_the_exit_code(
+        writing_call, command, unbuffered):
+    # stdout is a pipe nobody reads: the output is written, and for encrypt
+    # and decrypt the key spent, before the line is printed, so the call has
+    # done its work and exits as it would have, with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        writing_call(command, "out", write_end, unbuffered)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("command", list(WRITING_CALLS))
+def test_a_call_started_without_stdout_writes_its_output(writing_call, command):
+    # the status line has nowhere to go and is dropped
+    writing_call(command, "out", CLOSED, True)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", [c for c in WRITING_CALLS if c != "verify"])
+def test_a_status_line_carries_the_out_paths_bytes(tmp_path, writing_call, command,
+                                                   unbuffered):
+    # a name that is not UTF-8 reaches Python as a lone surrogate, which a
+    # strict UTF-8 stdout cannot encode; the line gives the name's own bytes
+    out = b"out\xff"
+    try:
+        (tmp_path / os.fsdecode(out)).touch()
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    os.unlink(out)
+    stdout = writing_call(command, os.fsdecode(out), subprocess.PIPE, unbuffered,
+                          PYTHONIOENCODING="utf-8:strict")
+    assert stdout.endswith(b" -> " + out + b"\n")
+
+
 def test_a_symlinked_pool_in_the_key_dir_keeps_its_cursor(tmp_path, monkeypatch, capsys):
     # the save renames over the real file, so the link stays a link and the
     # real pool, not a copy beside the link, records the spent bits
@@ -574,11 +703,12 @@ def test_a_cold_call_without_site_loads_no_pathlib(cold_call, command):
     ["audit", "--key"],
     ["keygen", "abc", "--out", "new.pool"],
     ["verify", "--space", "space.txt", "--code", "codebook", "--max-l", "x"],
-    ["report", "--space", "space.txt", "--code", "codebook", "--kind", "bogus"],
+    # report takes its bounds from the codec the codebook names
+    ["report", "--space", "space.txt", "--code", "codebook", "--kind", "trimmed"],
     ["audit", "--key", "k.pool", "extra"],
 ], ids=["no-command", "unknown-command", "unknown-option", "abbreviation",
         "missing-required", "no-value", "keygen-not-an-int", "max-l-not-an-int",
-        "bad-choice", "extra-positional"])
+        "dropped-kind-option", "extra-positional"])
 def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
@@ -595,7 +725,7 @@ OPTIONS = {
     "encrypt": ["--code", "--key", "--in", "--out"],
     "decrypt": ["--code", "--key", "--in", "--out"],
     "verify": ["--space", "--code", "--max-l", "--naive-leak-demo", "--report-out"],
-    "report": ["--space", "--code", "--kind", "auto,huffman,trimmed,generic"],
+    "report": ["--space", "--code"],
     "audit": ["--key"],
 }
 
@@ -657,25 +787,45 @@ def test_verify_report_out(tmp_path, capsys):
     assert "verdict perfect" in (tmp_path / "report.txt").read_text()
 
 
+def report_text(average, max_length, kind):
+    return (f"messages            3\n"
+            f"entropy_bits        1.584963\n"
+            f"average_length      {average}\n"
+            f"expected_key_bits   {average}\n"
+            f"max_length          {max_length}\n"
+            f"length_cap          3\n"
+            f"naive_length_leak   0.918296\n"
+            f"bounds({kind})     ok\n")
+
+
 def test_report_command(tmp_path, capsys):
+    # the bounds checked are those of the codec named in the codebook header
     space = write(tmp_path, "space.txt", SPACE_122)
-    book = str(tmp_path / "codebook")
-    main(["build-code", "--space", space, "--codec", "trimmed-huffman",
-          "--out", book])
-    assert main(["report", "--space", space, "--code", book]) == 0
-    text = capsys.readouterr().out
-    assert "bounds(trimmed)" in text
-    assert "ok" in text
+    for codec_name in ("huffman", "trimmed-huffman"):
+        assert main(["build-code", "--space", space, "--codec", codec_name,
+                     "--out", str(tmp_path / codec_name)]) == 0
+    huffman = (tmp_path / "huffman").read_text(encoding="utf-8")
+    (tmp_path / "custom").write_text(huffman.replace(" huffman ", " custom ", 1),
+                                     encoding="utf-8")
+    capsys.readouterr()
+    for book, expected in [("huffman", report_text("1.666667", 2, "huffman")),
+                           ("trimmed-huffman", report_text("2.666667", 3, "trimmed")),
+                           ("custom", report_text("1.666667", 2, "generic"))]:
+        assert main(["report", "--space", space, "--code", str(tmp_path / book)]) == 0
+        assert capsys.readouterr() == (expected, "")
 
 
 def test_report_violation_is_an_error_line(tmp_path, capsys):
-    # a dyadic Huffman code reaches l = 5, above the trimmed cap of 4
+    # a dyadic Huffman code reaches l = 5, above the trimmed cap of 4, so the
+    # same book labelled trimmed-huffman breaks the bounds it names
     space = write(tmp_path, "space.txt",
                   '"a" 1/2\n"b" 1/4\n"c" 1/8\n"d" 1/16\n"e" 1/32\n"f" 1/32\n')
-    book = str(tmp_path / "codebook")
-    assert main(["build-code", "--space", space, "--out", book]) == 0
+    book = tmp_path / "codebook"
+    assert main(["build-code", "--space", space, "--out", str(book)]) == 0
+    text = book.read_text(encoding="utf-8")
+    book.write_text(text.replace(" huffman ", " trimmed-huffman ", 1), encoding="utf-8")
     capsys.readouterr()
-    assert main(["report", "--space", space, "--code", book, "--kind", "trimmed"]) == 2
+    assert main(["report", "--space", space, "--code", str(book)]) == 2
     captured = capsys.readouterr()
     assert "bounds(trimmed)     VIOLATED\n  violation: max length 5 exceeds cap 4\n" in captured.out
     assert captured.err == "ERROR BoundViolation: max length 5 exceeds cap 4\n"

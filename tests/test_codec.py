@@ -3,10 +3,11 @@ import importlib
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import padcrypt as pc
@@ -479,6 +480,39 @@ def test_codebook_empty_message_roundtrip():
     buf.seek(0)
     loaded, _ = pc.load_codebook(buf)
     assert loaded.codebook == code.codebook
+
+
+@st.composite
+def accepted_codes(draw):
+    """A code PrefixCode accepts, over words from near_prefix_free_words (the
+    one-message code with the empty word among them) and any messages."""
+    words = draw(near_prefix_free_words())
+    messages = draw(st.lists(st.binary(max_size=3), min_size=len(words),
+                             max_size=len(words), unique=True))
+    try:
+        return pc.PrefixCode({m: B(w) for m, w in zip(messages, words)})
+    except InvalidCode:
+        assume(False)
+
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+@given(accepted_codes(), st.text(min_size=1).filter(lambda name: name.split() == [name]))
+def test_load_codebook_reads_what_save_codebook_writes(code, name):
+    buf = io.StringIO()
+    pc.save_codebook(code, buf, name)
+    buf.seek(0)
+    assert pc.load_codebook(buf) == (code, name)
+
+
+@given(st.one_of(st.just(""), st.builds(lambda a, space, b: a + space + b, st.text(),
+                                        st.sampled_from(WHITESPACE), st.text())))
+def test_save_codebook_refuses_a_name_load_codebook_would_split(name):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="single nonempty token"):
+        pc.save_codebook(three_word_code(), buf, name)
+    assert buf.getvalue() == ""
 
 
 def test_codebook_rejects_a_message_listed_twice():
