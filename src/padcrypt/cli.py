@@ -105,10 +105,15 @@ def _write_then_say(out: str, write: "Callable[[], object]", text: str) -> None:
         status.buffer.write(os.fsencode(text + "\n"))
         status.buffer.flush()
     except OSError:
-        # what is still buffered then goes to os.devnull at exit, silently
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, status.fileno())
-        os.close(devnull)
+        _drop_buffered(status)
+
+
+def _drop_buffered(stream: "TextIO") -> None:
+    """Point the stream's descriptor at os.devnull, after a write to it
+    failed, so that what is still buffered goes there at exit, silently."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def resolve_key_path(path: str) -> str:
@@ -138,6 +143,10 @@ def cmd_keygen(args: SimpleNamespace) -> int:
     from . import keystore
     from .rng import OsRandomSource, SeededRandomSource
 
+    try:
+        nbits = int(args.nbits)
+    except ValueError:
+        raise PadcryptError(f"keygen: nbits takes an integer, not {args.nbits!r}") from None
     if args.rng == "os":
         rng = OsRandomSource()
     else:
@@ -153,10 +162,10 @@ def cmd_keygen(args: SimpleNamespace) -> int:
         if not args.insecure_test:
             raise PadcryptError("seeded rng for keygen requires --insecure-test")
         rng = SeededRandomSource(seed)
-    pool = keystore.generate_pool(args.nbits, rng)
+    pool = keystore.generate_pool(nbits, rng)
     path = resolve_key_path(args.out)
     _write_then_say(path, lambda: pool.save(path),
-                    f"pool {pool.pool_id}: {args.nbits} bits, cursor 0 -> {args.out}")
+                    f"pool {pool.pool_id}: {nbits} bits, cursor 0 -> {args.out}")
     return EXIT_OK
 
 
@@ -229,14 +238,12 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
-    max_l = verify.DEFAULT_MAX_L if args.max_l is None else args.max_l
     space = parse_space_file(_read(args.space))
     code, _ = _load_code(args.code)
     if args.naive_leak_demo:
         print("WARNING: naive mode omits the random padding and is NOT secure;"
               " it exists only to demonstrate the length leak.", file=sys.stderr)
-    report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo,
-                                         max_l=max_l)
+    report = verify.exact_secrecy_oracle(space, code, naive=args.naive_leak_demo)
     if report.perfect:
         verdict = "PERFECT"
     else:
@@ -293,24 +300,23 @@ def cmd_audit(args: SimpleNamespace) -> int:
 
 # --- dispatch ------------------------------------------------------------
 
-# An option's entry is its default, REQUIRED, `bool` for a flag, or `int` for
-# an integer that defaults to None.
-# A name without dashes is a positional argument, which is always required.
+# An option's entry is its default, REQUIRED, or `bool` for a flag, which
+# defaults to False.  A name without dashes is a positional argument, whose
+# entry is REQUIRED.  Every value is the string given; a command converts it.
 REQUIRED = object()
 
 COMMANDS = {
     "keygen": (cmd_keygen, "generate a one-time-pad key pool",
-               {"nbits": int, "--out": REQUIRED, "--rng": "os", "--insecure-test": bool}),
+               {"nbits": REQUIRED, "--out": REQUIRED, "--rng": "os", "--insecure-test": bool}),
     "build-code": (cmd_build_code, "build a codebook from a message space",
                    {"--space": REQUIRED, "--codec": "huffman", "--out": REQUIRED}),
     "encrypt": (cmd_encrypt, "encrypt one message file to a frame",
                 {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED}),
     "decrypt": (cmd_decrypt, "decrypt one frame back to a message file",
                 {"--code": REQUIRED, "--key": REQUIRED, "--in": REQUIRED, "--out": REQUIRED}),
-    # --max-l None stands for verify.DEFAULT_MAX_L, read only when `verify` runs
     "verify": (cmd_verify, "run the exact perfect-secrecy oracle",
-               {"--space": REQUIRED, "--code": REQUIRED, "--max-l": int,
-                "--naive-leak-demo": bool, "--report-out": None}),
+               {"--space": REQUIRED, "--code": REQUIRED, "--naive-leak-demo": bool,
+                "--report-out": None}),
     "report": (cmd_report, "entropy and code-length bound report",
                {"--space": REQUIRED, "--code": REQUIRED}),
     "audit": (cmd_audit, "print a pool's consumption state", {"--key": REQUIRED}),
@@ -353,24 +359,6 @@ def _print_help(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _default(name: str, spec: object) -> object:
-    if spec is bool:
-        return False
-    if spec is int:
-        return None if name.startswith("-") else REQUIRED
-    return spec
-
-
-def _value(command: str, name: str, spec: object, token: str) -> object:
-    if spec is int:
-        try:
-            return int(token)
-        except ValueError:
-            raise PadcryptError(
-                f"{command}: {name} takes an integer, not {token!r}") from None
-    return token
-
-
 def parse_args(argv: "list[str]") -> SimpleNamespace:
     """The command named by `argv[0]` and its options, from COMMANDS.
 
@@ -388,7 +376,7 @@ def parse_args(argv: "list[str]") -> SimpleNamespace:
             f"unknown command {command!r} (one of {', '.join(COMMANDS)})")
     func, _, options = COMMANDS[command]
     positionals = [name for name in options if not name.startswith("-")]
-    values = {name: _default(name, spec) for name, spec in options.items()}
+    values = {name: False if spec is bool else spec for name, spec in options.items()}
     for token in tokens:
         if token in _HELP:
             return SimpleNamespace(command=command, func=_print_help)
@@ -409,7 +397,7 @@ def parse_args(argv: "list[str]") -> SimpleNamespace:
                 token = next(tokens, None)
                 if token is None:
                     raise PadcryptError(f"{command}: {name} needs a value")
-        values[name] = _value(command, name, options[name], token)
+        values[name] = token
     missing = [name for name, value in values.items() if value is REQUIRED]
     if missing:
         raise PadcryptError(f"{command}: missing {', '.join(missing)}")
@@ -420,7 +408,16 @@ def parse_args(argv: "list[str]") -> SimpleNamespace:
 def main(argv: "list[str] | None" = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        status = args.func(args)
+        # a stdout that cannot take what the command printed is an error like
+        # any other, whether the print or this flush found it out
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                _drop_buffered(sys.stdout)
+                raise
+        return status
     except (PadcryptError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -30,9 +30,17 @@ if TYPE_CHECKING:
 
     from .rng import RandomSource
 
-DEFAULT_MAX_L = 12
+MAX_L = 12  # the exact checks enumerate 2^l ciphertexts per message
 _CHI_SQUARE_MAX_L = 24  # the chi-square test keeps one count per ciphertext
 CHI_SQUARE_MIN_PER_BIN = 50
+
+
+def _within_budget(code: PrefixCode, cap: int) -> int:
+    """The code's l, once it is at most cap."""
+    l = code.max_len
+    if l > cap:
+        raise EnumerationTooLarge(f"l={l} exceeds the budget of {cap}")
+    return l
 
 
 def _entropy(weights: Iterable[int | Fraction | float]) -> float:
@@ -107,8 +115,7 @@ def _table(x: BitString, l: int, key_bits: int, naive: bool) -> dict[tuple[int, 
 
 
 def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
-                         naive: bool = False,
-                         max_l: int = DEFAULT_MAX_L) -> SecrecyReport:
+                         naive: bool = False) -> SecrecyReport:
     """Exhaustively verify perfect secrecy with exact integer tables.
 
     With naive=True the random padding is omitted (ciphertext is the XORed
@@ -116,9 +123,7 @@ def exact_secrecy_oracle(space: MessageSpace, code: PrefixCode, *,
     """
     if not space.is_exact:
         raise ValueError("oracle requires exact rational probabilities")
-    l = code.max_len
-    if l > max_l:
-        raise EnumerationTooLarge(f"l={l} exceeds the budget of {max_l}")
+    l = _within_budget(code, MAX_L)
 
     # P(e|m) = table[e] / 2^l for m's table and P(e) = joint[e] / denom,
     # denom = q 2^l, with P(m) = w / q in the space's integer form.  Messages
@@ -167,9 +172,7 @@ def key_discipline_equivalence(space: MessageSpace, code: PrefixCode) -> bool:
 
     Both give every l-bit ciphertext 2^-l for any code with |x| <= l, so
     this checks the kernel's key_bits path, not the code."""
-    l = code.max_len
-    if l > DEFAULT_MAX_L:
-        raise EnumerationTooLarge(f"l={l} exceeds the budget of {DEFAULT_MAX_L}")
+    l = _within_budget(code, MAX_L)
     for m in space.messages:
         x = encode(code, m)
         # discipline A draws s key bits from a pool; B draws a full l-bit key
@@ -251,9 +254,7 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
     """
     if trials < 0:
         raise ValueError("negative trial count")
-    l = code.max_len
-    if l > _CHI_SQUARE_MAX_L:
-        raise EnumerationTooLarge(f"l={l} exceeds the budget of {_CHI_SQUARE_MAX_L}")
+    l = _within_budget(code, _CHI_SQUARE_MAX_L)
 
     bounds = list(itertools.accumulate(float(p) for p in space.probs))
     last = len(bounds) - 1

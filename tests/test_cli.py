@@ -539,6 +539,52 @@ def test_a_status_line_carries_the_out_paths_bytes(tmp_path, writing_call, comma
     assert stdout.endswith(b" -> " + out + b"\n")
 
 
+# commands whose only output is what they print to stdout
+PRINTING_CALLS = {
+    "audit": ["audit", "--key", "alice.pool"],
+    "report": ["report", "--space", "space.txt", "--code", "codebook"],
+    "verify-perfect": ["verify", "--space", "space.txt", "--code", "codebook"],
+    "verify-leaky": ["verify", "--space", "space.txt", "--code", "codebook",
+                     "--naive-leak-demo"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("call", list(PRINTING_CALLS))
+def test_a_print_to_a_closed_pipe_is_an_error_line(tmp_path, monkeypatch, capsys, call,
+                                                   unbuffered):
+    # printing is all these commands do, so a stdout whose reader has gone
+    # fails the call: exit 2 and one ERROR line, however stdout is buffered
+    monkeypatch.chdir(tmp_path)
+    # a 1-bit and two 2-bit codewords, so the naive demo is leaky
+    write(tmp_path, "space.txt", '"alpha" 1/2\n"beta" 1/4\n00ff 1/4\n')
+    argv = PRINTING_CALLS[call]
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "alice.pool"]) == 0
+    assert main(argv) == (3 if call == "verify-leaky" else 0)  # with a working stdout
+    capsys.readouterr()
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop(cli.KEY_DIR_ENV, None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    if "--naive-leak-demo" in argv:  # its warning goes to stderr before it runs
+        assert lines.pop(0).startswith(b"WARNING: naive mode"), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(b"ERROR BrokenPipeError:"), proc.stderr
+
+
 def test_a_symlinked_pool_in_the_key_dir_keeps_its_cursor(tmp_path, monkeypatch, capsys):
     # the save renames over the real file, so the link stays a link and the
     # real pool, not a copy beside the link, records the spent bits
@@ -702,12 +748,13 @@ def test_a_cold_call_without_site_loads_no_pathlib(cold_call, command):
     ["build-code", "--space", "space.txt"],
     ["audit", "--key"],
     ["keygen", "abc", "--out", "new.pool"],
-    ["verify", "--space", "space.txt", "--code", "codebook", "--max-l", "x"],
+    # the exact checks have one fixed budget
+    ["verify", "--space", "space.txt", "--code", "codebook", "--max-l", "13"],
     # report takes its bounds from the codec the codebook names
     ["report", "--space", "space.txt", "--code", "codebook", "--kind", "trimmed"],
     ["audit", "--key", "k.pool", "extra"],
 ], ids=["no-command", "unknown-command", "unknown-option", "abbreviation",
-        "missing-required", "no-value", "keygen-not-an-int", "max-l-not-an-int",
+        "missing-required", "no-value", "keygen-not-an-int", "dropped-max-l-option",
         "dropped-kind-option", "extra-positional"])
 def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -724,7 +771,7 @@ OPTIONS = {
     "build-code": ["--space", "--codec", "--out"],
     "encrypt": ["--code", "--key", "--in", "--out"],
     "decrypt": ["--code", "--key", "--in", "--out"],
-    "verify": ["--space", "--code", "--max-l", "--naive-leak-demo", "--report-out"],
+    "verify": ["--space", "--code", "--naive-leak-demo", "--report-out"],
     "report": ["--space", "--code"],
     "audit": ["--key"],
 }
@@ -775,6 +822,19 @@ def test_verify_perfect_and_leaky(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "LEAKY" in captured.out
     assert "WARNING" in captured.err
+
+
+def test_verify_refuses_a_code_beyond_the_budget(tmp_path, capsys):
+    # P = 2^-1, ..., 2^-13, 2^-13: Huffman lengths 1..13, 13, so l = 13
+    space = write(tmp_path, "space.txt",
+                  "".join(f"{i:02x} 1/{2 ** min(i + 1, 13)}\n" for i in range(14)))
+    book = str(tmp_path / "codebook")
+    assert main(["build-code", "--space", space, "--out", book]) == 0
+    assert "l=13" in capsys.readouterr().out
+    assert main(["verify", "--space", space, "--code", book]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR EnumerationTooLarge: l=13 exceeds the budget of 12\n"
+    assert captured.out == ""
 
 
 def test_verify_report_out(tmp_path, capsys):

@@ -17,7 +17,7 @@ import padcrypt as pc
 from padcrypt import cipher
 from padcrypt.bits import BitString
 from padcrypt.errors import EnumerationTooLarge, NotInCodebook
-from padcrypt.verify import DEFAULT_MAX_L, _table
+from padcrypt.verify import MAX_L, _table
 
 from conftest import (
     random_float_space,
@@ -141,12 +141,6 @@ def test_oracle_requires_exact_probs():
         pc.exact_secrecy_oracle(sp, pc.PrefixCode({b"a": B("0"), b"b": B("1")}))
 
 
-def test_oracle_budget():
-    code = pc.PrefixCode({b"a": B("0" * 13), b"b": B("1")})
-    with pytest.raises(EnumerationTooLarge):
-        pc.exact_secrecy_oracle(uniform_space(2), code)
-
-
 def test_report_text_output():
     report = pc.exact_secrecy_oracle(uniform_space(2),
                                      pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1")}))
@@ -248,26 +242,33 @@ def test_exact_checks_at_the_default_budget():
     probs = [Fraction(1, 2 ** (i + 1)) for i in range(L - 1)] + [Fraction(1, 2 ** (L - 1))]
     sp = pc.MessageSpace([bytes([i]) for i in range(L)], probs)
     code = pc.build_huffman(sp)
-    assert code.max_len == DEFAULT_MAX_L
+    assert code.max_len == MAX_L
     assert pc.exact_secrecy_oracle(sp, code).perfect
     assert pc.exact_secrecy_oracle(sp, code, naive=True).verdict == "leaky"
     assert pc.key_discipline_equivalence(sp, code)
 
 
-def test_discipline_equivalence_budget():
-    code = pc.PrefixCode({b"a": B("0" * 13), b"b": B("1")})
-    with pytest.raises(EnumerationTooLarge):
-        pc.key_discipline_equivalence(uniform_space(2), code)
+@pytest.mark.parametrize("check, cap", [
+    (pc.exact_secrecy_oracle, MAX_L),
+    (pc.key_discipline_equivalence, MAX_L),
+    # the bare RandomSource raises NotImplementedError on any draw, so the
+    # budget must refuse the code before the first trial
+    (lambda space, code: pc.empirical_uniformity(space, code, pc.RandomSource(), 1), 24),
+], ids=["oracle", "discipline-equivalence", "empirical-uniformity"])
+def test_each_check_refuses_l_over_its_budget(check, cap):
+    # one bit over the budget is refused, with no way to raise it
+    code = pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1" * (cap + 1))})
+    with pytest.raises(EnumerationTooLarge, match=f"^l={cap + 1} exceeds the budget of {cap}$"):
+        check(uniform_space(2), code)
+
+
+def test_the_oracle_takes_no_budget():
+    code = pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1" * (MAX_L + 1))})
+    with pytest.raises(TypeError):
+        pc.exact_secrecy_oracle(uniform_space(2), code, max_l=MAX_L + 1)
 
 
 # --- empirical uniformity ------------------------------------------------
-
-def test_empirical_uniformity_budget():
-    code = pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1" * 25)})
-    # the bare RandomSource raises NotImplementedError on any draw, so the
-    # budget must refuse the code before the first trial
-    with pytest.raises(EnumerationTooLarge, match="l=25 exceeds the budget of 24"):
-        pc.empirical_uniformity(uniform_space(2), code, pc.RandomSource(), 1)
 
 
 def small_l_code():
