@@ -12,6 +12,7 @@ pays for importing it.
 from importlib import import_module
 
 from .errors import (
+    BoundViolation,
     CodebookFormatError,
     DecryptionFailed,
     DegenerateSpace,
@@ -46,8 +47,8 @@ _HOMES = {
 }
 
 __all__ = [
-    "CodebookFormatError", "DecryptionFailed", "DegenerateSpace",
-    "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
+    "BoundViolation", "CodebookFormatError", "DecryptionFailed",
+    "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
     "InvalidLength", "InvalidSpace", "KeyExhausted",
     "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
     "PadcryptError", "PoolFormatError", "WireFormatError",

@@ -2,7 +2,8 @@
 
 Every file padcrypt writes (pools, frames, plaintexts, codebooks, reports)
 goes through `write_file`: the destination is opened before the bytes are
-produced, so an unwritable path fails before any key bit is spent.
+produced, so an unwritable path fails before any key bit is spent, and a
+regular file is on disk, rename included, before `write_file` returns.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ if TYPE_CHECKING:
 
 
 def write_file(path: "str | Path", produce: "Callable[[], bytes]",
-               mode: "int | None" = None, durable: bool = False) -> None:
+               mode: "int | None" = None) -> None:
     """Write produce()'s bytes to path; produce runs once path is open.
 
     A regular file, or a path not there yet, gets a temp file of its own
-    beside the real file (so a symlinked path keeps its link), renamed over
-    it: a failure leaves no new file and an existing one as it was.  The
-    result has `mode`, or if None an existing file's own mode and 0600 for a
-    new one; an existing file's owner is kept where the process may set it.
-    Any other file (a device, a FIFO) is opened and written in place, so it
-    stays what it is.  `durable` syncs the bytes and the rename to disk.
+    beside the real file (so a symlinked path keeps its link), synced and
+    renamed over it, and then the directory is synced: a failure leaves no
+    new file and an existing one as it was.  The result has `mode`, or if
+    None an existing file's own mode and 0600 for a new one; an existing
+    file's owner is kept where the process may set it.  Any other file (a
+    device, a FIFO) is opened and written in place, so it stays what it is.
     """
     try:
         st = os.stat(path)
@@ -41,32 +42,30 @@ def write_file(path: "str | Path", produce: "Callable[[], bytes]",
         return
     real = os.path.realpath(path)
     parent, name = os.path.split(real)
-    tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    dirfd = os.open(parent, os.O_RDONLY)  # before produce, for the sync after the rename
     try:
-        if st is not None:
-            try:
-                os.fchown(fd, st.st_uid, st.st_gid)
-            except PermissionError:
-                pass  # only root may give a file away: it becomes ours
-        if mode is None:
-            mode = 0o600 if st is None else stat.S_IMODE(st.st_mode)
-        os.fchmod(fd, mode)  # os.open gave 0600 less the umask
-        _write_all(fd, produce())
-        if durable:
-            os.fsync(fd)
-        os.replace(tmp, real)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    finally:
-        os.close(fd)
-    if durable:
-        dirfd = os.open(parent, os.O_RDONLY)
+        tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
-            os.fsync(dirfd)
+            if st is not None:
+                try:
+                    os.fchown(fd, st.st_uid, st.st_gid)
+                except PermissionError:
+                    pass  # only root may give a file away: it becomes ours
+            if mode is None:
+                mode = 0o600 if st is None else stat.S_IMODE(st.st_mode)
+            os.fchmod(fd, mode)  # os.open gave 0600 less the umask
+            _write_all(fd, produce())
+            os.fsync(fd)
+            os.replace(tmp, real)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         finally:
-            os.close(dirfd)
+            os.close(fd)
+        os.fsync(dirfd)
+    finally:
+        os.close(dirfd)
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -61,7 +61,7 @@ def encrypt(m: bytes, code: PrefixCode, pool: KeyPool,
     if pool.remaining < l:
         pool.peek(l)  # raises: the refusal decrypt's peek(l) gives, for every s
     start = pool.cursor
-    y = x.xor(pool.take(s))
+    y = pool.take(s).xor(x)  # the key's own xor: a pool may hand out another bit type
     return EncryptionRecord(Ciphertext(_fill(y, l, rng)), s,
                             pool.pool_id, start, pool.cursor)
 

@@ -19,7 +19,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import PadcryptError
+from .errors import BoundViolation, PadcryptError
 
 # Each command imports the library modules it runs inside its own function,
 # so a cold call loads only those: `audit` never loads the codec, and only
@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from typing import TextIO
 
     from .codec import ExternalCompressor, MessageSpace, PrefixCode
+    from .keystore import KeyPool
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
 
@@ -202,8 +203,19 @@ def _load_code(path: str) -> tuple[PrefixCode, str]:
     return codec.load_codebook(io.StringIO(_read(path)))
 
 
+def _load_pool(args: SimpleNamespace) -> KeyPool:
+    """The `--key` pool of encrypt or decrypt, refused if `--out` is the pool
+    file itself, which the output would replace, unspent key and all."""
+    from . import keystore
+
+    path = resolve_key_path(args.key)
+    if os.path.exists(args.out) and os.path.samefile(path, args.out):
+        raise PadcryptError(f"{args.command}: --out names the --key pool {args.key}")
+    return keystore.KeyPool.load(path)
+
+
 def cmd_encrypt(args: SimpleNamespace) -> int:
-    from . import cipher, keystore
+    from . import cipher
     from ._files import write_file
     from .rng import OsRandomSource
 
@@ -211,7 +223,7 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
     # codeword length, so the frame would show that length
     rng = OsRandomSource()
     code, _ = _load_code(args.code)
-    pool = keystore.KeyPool.load(resolve_key_path(args.key))
+    pool = _load_pool(args)
     message = _read(args.infile, "rb")
     # --out is opened before encrypt takes a key bit, so an unwritable path
     # spends none; the line has only message-independent fields, as s or a
@@ -223,11 +235,11 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
 
 
 def cmd_decrypt(args: SimpleNamespace) -> int:
-    from . import cipher, keystore
+    from . import cipher
     from ._files import write_file
 
     code, _ = _load_code(args.code)
-    pool = keystore.KeyPool.load(resolve_key_path(args.key))
+    pool = _load_pool(args)
     ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
     _write_then_say(args.out, lambda: write_file(
         args.out, lambda: cipher.decrypt(ciphertext, code, pool)),
@@ -281,10 +293,9 @@ def cmd_report(args: SimpleNamespace) -> int:
     print(f"bounds({rep.kind})     {'ok' if rep.ok else 'VIOLATED'}")
     for v in rep.violations:
         print(f"  violation: {v}")
-    if rep.ok:
-        return EXIT_OK
-    print(f"ERROR BoundViolation: {'; '.join(rep.violations)}", file=sys.stderr)
-    return EXIT_ERROR
+    if not rep.ok:
+        raise BoundViolation("; ".join(rep.violations))
+    return EXIT_OK
 
 
 def cmd_audit(args: SimpleNamespace) -> int:
@@ -407,17 +418,19 @@ def parse_args(argv: "list[str]") -> SimpleNamespace:
 
 def main(argv: "list[str] | None" = None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        status = args.func(args)
-        # a stdout that cannot take what the command printed is an error like
-        # any other, whether the print or this flush found it out
-        if sys.stdout is not None:
-            try:
-                sys.stdout.flush()
-            except OSError:
-                _drop_buffered(sys.stdout)
-                raise
-        return status
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            return args.func(args)
+        finally:
+            # what the command printed comes before any ERROR line, and a
+            # stdout that cannot take it is an error like any other, which
+            # replaces the command's own: one ERROR line either way
+            if sys.stdout is not None:
+                try:
+                    sys.stdout.flush()
+                except OSError:
+                    _drop_buffered(sys.stdout)
+                    raise
     except (PadcryptError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -67,3 +67,7 @@ class WireFormatError(PadcryptError):
 
 class EnumerationTooLarge(PadcryptError):
     """Exhaustive enumeration would exceed the configured budget."""
+
+
+class BoundViolation(PadcryptError):
+    """A code breaks the length bounds of the construction it names."""

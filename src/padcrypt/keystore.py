@@ -70,7 +70,7 @@ class KeyPool:
                 + len(self.material).to_bytes(8, "big")
                 + self.material.to_bytes())
         # always 0600, and on disk before the bits are released
-        write_file(path, lambda: blob, 0o600, durable=True)
+        write_file(path, lambda: blob, 0o600)
 
     @classmethod
     def load(cls, path: "str | Path") -> "KeyPool":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,3 +119,20 @@ def reference_leak(space: MessageSpace, code, observable: str) -> float:
 @pytest.fixture
 def seeded():
     return random.Random(0xC0DE)
+
+
+# the temp file `padcrypt._files.write_file` writes beside its target
+WRITE_FILE_TEMP = re.compile(r"\..+\.[0-9a-f]{16}\.tmp")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fails a test that used tmp_path and left a write_file temp file in it:
+    a failed write, or a failed sync, must remove its temp file."""
+    root = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if root is not None:
+        left = sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                      if WRITE_FILE_TEMP.fullmatch(p.name))
+        if left:
+            pytest.fail(f"temp files left under tmp_path: {left}")

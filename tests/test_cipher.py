@@ -244,3 +244,50 @@ def test_frame_tail_bits_are_rng_not_zero():
     rec = pc.encrypt(b"m0", code, pool_with("00"), FixedBits(""))
     blob = write_frame(rec, code, FixedBits("111111"))
     assert blob[-1] == 0b00111111
+
+
+class OpaqueBits:
+    """Key bits that are not a BitString: they forward to one only what the
+    shipped encrypt and write_frame call, and have no `value` or `length`."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: BitString):
+        self._bits = bits
+
+    def xor(self, other):
+        return OpaqueBits(self._bits.xor(other))
+
+    def __add__(self, other):
+        return OpaqueBits(self._bits + other)
+
+    def __len__(self):
+        return len(self._bits)
+
+    def to_bytes(self):
+        return self._bits.to_bytes()
+
+
+class OpaquePool(pc.KeyPool):
+    def take(self, s):
+        return OpaqueBits(super().take(s))
+
+
+def test_a_pool_may_hand_out_another_bit_type():
+    # encrypt XORs on the key's own operand, so a key type of another kind
+    # (such as a symbolic one) runs through the shipped encrypt and
+    # write_frame, and gives the frame a plain run gives
+    weights = [Fraction(1, i + 1) for i in range(10)]  # Zipf: l = 5, codewords of 2-5 bits
+    space = pc.MessageSpace([bytes([i]) for i in range(10)],
+                            [w / sum(weights) for w in weights])
+    code = pc.build_huffman(space)
+    material = pc.generate_pool(4000, pc.SeededRandomSource(5)).material
+    frames = []
+    for pool in (pc.KeyPool(material, 0, "id"), OpaquePool(material, 0, "id")):
+        rng = pc.SeededRandomSource(7)
+        frames.append([write_frame(pc.encrypt(m, code, pool, rng), code, rng)
+                       for m in space.messages])
+    assert frames[0] == frames[1]
+    receiver = pc.KeyPool(material, 0, "id")
+    assert [pc.decrypt(read_frame(blob, code), code, receiver)
+            for blob in frames[1]] == list(space.messages)

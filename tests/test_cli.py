@@ -241,6 +241,44 @@ def test_a_failed_decrypt_spends_no_key(tmp_path, monkeypatch, capsys):
                 == keystore.KeyPool.load("alice.pool").cursor)
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_out_that_names_the_key_pool_is_refused(tmp_path, monkeypatch, capsys, command):
+    # the output would replace the pool and every unspent bit in it: the call
+    # is refused before the pool is loaded, however --out reaches the pool
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_122)
+    (tmp_path / "keys").mkdir()
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "keys/k.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    shutil.copyfile("keys/k.pool", "sender.pool")
+    (tmp_path / "msg").write_bytes(b"a")
+    assert main(["encrypt", "--code", "codebook", "--key", "sender.pool",
+                 "--in", "msg", "--out", "frame"]) == 0
+    os.symlink(os.path.join("keys", "k.pool"), "link.pool")
+    os.link(os.path.join("keys", "k.pool"), "hard.pool")
+    pool = (tmp_path / "keys" / "k.pool").read_bytes()
+    files = tree(tmp_path)
+    infile = "msg" if command == "encrypt" else "frame"
+    for key_dir, key, out in [(None, "keys/k.pool", "keys/k.pool"),
+                              (None, "keys/k.pool", "link.pool"),
+                              (None, "link.pool", "hard.pool"),
+                              (None, str(tmp_path / "keys" / "k.pool"), "keys/../hard.pool"),
+                              (str(tmp_path / "keys"), "k.pool", "keys/k.pool")]:
+        if key_dir is not None:
+            monkeypatch.setenv(cli.KEY_DIR_ENV, key_dir)
+        for message in (b"a", b"b", b"c"):  # the refusal is the same for each
+            (tmp_path / "msg").write_bytes(message)
+            capsys.readouterr()
+            assert main([command, "--code", "codebook", "--key", key, "--in", infile,
+                         "--out", out]) == 2
+            assert capsys.readouterr() == (
+                "", f"ERROR PadcryptError: {command}: --out names the --key pool {key}\n")
+            assert (tmp_path / "keys" / "k.pool").read_bytes() == pool
+            assert tree(tmp_path) == files
+
+
 def test_out_that_is_a_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
     # a FIFO, or a device such as /dev/null, is opened and written as it is:
     # renaming a temp file over it would turn it into a regular file
@@ -455,13 +493,11 @@ CLOSED_STDOUT_CLI = ("import os, sys; os.close(1); "
                      "*sys.argv[1:]])")
 
 
-@pytest.fixture
-def writing_call(tmp_path, monkeypatch):
-    """Runs a WRITING_CALLS command cold, with its output at `out`, after the
-    files it reads are made; the pools are copies of one, so alice.pool
-    encrypts, bob.pool decrypts the frame dave.pool made, and carol.pool
-    decrypts what alice.pool encrypts."""
-    monkeypatch.chdir(tmp_path)
+def make_writing_inputs(tmp_path):
+    """Makes the files the WRITING_CALLS commands read in tmp_path, the
+    current directory; the pools are copies of one, so alice.pool encrypts,
+    bob.pool decrypts the frame dave.pool made, and carol.pool decrypts what
+    alice.pool encrypts."""
     # a 1-bit and two 2-bit codewords, so the naive demo is leaky
     write(tmp_path, "space.txt", '"alpha" 1/2\n"beta" 1/4\n00ff 1/4\n')
     (tmp_path / "msg").write_bytes(b"alpha")
@@ -472,6 +508,70 @@ def writing_call(tmp_path, monkeypatch):
             shutil.copyfile("alice.pool", name)
         assert main(["encrypt", "--code", "codebook", "--key", "dave.pool", "--in", "msg",
                      "--out", "frame"]) == 0
+
+
+def identity(st):
+    return st.st_dev, st.st_ino
+
+
+def test_every_written_file_is_synced_before_the_call_returns(tmp_path, monkeypatch, capsys):
+    # the output's temp file is synced before its rename, and the directory
+    # after it, so a call that has returned has its output on disk
+    monkeypatch.chdir(tmp_path)
+    make_writing_inputs(tmp_path)
+    real_fsync, synced = os.fsync, []
+
+    def fsync(fd):
+        # what was synced, and whether the output had its name by then
+        synced.append((identity(os.fstat(fd)), os.path.exists(out)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    for command, (argv, code) in WRITING_CALLS.items():
+        out = f"new.{command}"
+        synced.clear()
+        assert main([*argv, out]) == code
+        check_written_output(tmp_path, command, out)
+        file_sync = (identity(os.stat(out)), False)
+        dir_sync = (identity(os.stat(".")), True)
+        assert file_sync in synced and dir_sync in synced, command
+        assert synced.index(file_sync) < synced.index(dir_sync), command
+
+
+def test_a_failed_sync_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # a disk error on the sync of the output's temp file fails the call with
+    # one ERROR line, and leaves no temp file and an existing --out whole
+    monkeypatch.chdir(tmp_path)
+    make_writing_inputs(tmp_path)
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if any(os.path.samestat(os.fstat(fd), os.stat(tmp))
+               for tmp in tmp_path.glob(".out.*.tmp")):
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    (tmp_path / "out").write_bytes(b"old")
+    files = tree(tmp_path)
+    for command, (argv, _) in WRITING_CALLS.items():
+        capsys.readouterr()
+        assert main([*argv, "out"]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        if command == "verify":  # the naive demo's warning, printed before it runs
+            err = err.split("\n", 1)[1]
+        assert err == "ERROR OSError: [Errno 5] Input/output error\n", command
+        assert (tmp_path / "out").read_bytes() == b"old"
+        assert tree(tmp_path) == files
+
+
+@pytest.fixture
+def writing_call(tmp_path, monkeypatch):
+    """Runs a WRITING_CALLS command cold, with its output at `out`, after
+    make_writing_inputs has made the files it reads."""
+    monkeypatch.chdir(tmp_path)
+    make_writing_inputs(tmp_path)
     src = str(Path(padcrypt.__file__).resolve().parents[1])
 
     def run(command, out, stdout, unbuffered, **env):
@@ -539,10 +639,17 @@ def test_a_status_line_carries_the_out_paths_bytes(tmp_path, writing_call, comma
     assert stdout.endswith(b" -> " + out + b"\n")
 
 
+# a book labelled huffman with lengths (3, 1, 2) on P = (3/4, 1/8, 1/8), whose
+# average length of 2.625 bits breaks the Huffman bound [h, h + 1)
+VIOLATED_SPACE = '"a" 3/4\n"b" 1/8\n"c" 1/8\n'
+VIOLATED_BOOK = "padcrypt-codebook 1 huffman 3\n0 61 000\n1 62 1\n2 63 01\n"
+VIOLATION = "average length 2.625000 outside [h, h+1) = [1.061278, 2.061278)"
+
 # commands whose only output is what they print to stdout
 PRINTING_CALLS = {
     "audit": ["audit", "--key", "alice.pool"],
     "report": ["report", "--space", "space.txt", "--code", "codebook"],
+    "report-violated": ["report", "--space", "violated.txt", "--code", "violated.book"],
     "verify-perfect": ["verify", "--space", "space.txt", "--code", "codebook"],
     "verify-leaky": ["verify", "--space", "space.txt", "--code", "codebook",
                      "--naive-leak-demo"],
@@ -559,10 +666,13 @@ def test_a_print_to_a_closed_pipe_is_an_error_line(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     # a 1-bit and two 2-bit codewords, so the naive demo is leaky
     write(tmp_path, "space.txt", '"alpha" 1/2\n"beta" 1/4\n00ff 1/4\n')
+    write(tmp_path, "violated.txt", VIOLATED_SPACE)
+    write(tmp_path, "violated.book", VIOLATED_BOOK)
     argv = PRINTING_CALLS[call]
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
     assert main(["keygen", "64", "--out", "alice.pool"]) == 0
-    assert main(argv) == (3 if call == "verify-leaky" else 0)  # with a working stdout
+    # with a working stdout
+    assert main(argv) == {"verify-leaky": 3, "report-violated": 2}.get(call, 0)
     capsys.readouterr()
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -889,6 +999,27 @@ def test_report_violation_is_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "bounds(trimmed)     VIOLATED\n  violation: max length 5 exceeds cap 4\n" in captured.out
     assert captured.err == "ERROR BoundViolation: max length 5 exceeds cap 4\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_bound_violation_follows_the_report_on_one_pipe(tmp_path, unbuffered):
+    # stdout is flushed before the ERROR line, so a reader of both streams on
+    # one pipe sees the report first, however stdout is buffered
+    write(tmp_path, "violated.txt", VIOLATED_SPACE)
+    write(tmp_path, "violated.book", VIOLATED_BOOK)
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = PRINTING_CALLS["report-violated"]
+    proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", *argv], env=env,
+                          cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout.endswith(f"bounds(huffman)     VIOLATED\n  violation: {VIOLATION}\n"
+                                f"ERROR BoundViolation: {VIOLATION}\n"), proc.stdout
 
 
 def test_report_on_a_one_message_space(tmp_path, capsys):

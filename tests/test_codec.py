@@ -555,8 +555,8 @@ PACKAGE_EXPORTS = {
     "codec": ["ExternalCompressor", "MessageSpace", "PrefixCode", "build_huffman",
               "decode_prefix", "encode", "load_codebook", "save_codebook", "trim_code",
               "wrap_external"],
-    "errors": ["CodebookFormatError", "DecryptionFailed", "DegenerateSpace",
-               "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
+    "errors": ["BoundViolation", "CodebookFormatError", "DecryptionFailed",
+               "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
                "InvalidLength", "InvalidSpace", "KeyExhausted",
                "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
                "PadcryptError", "PoolFormatError", "WireFormatError"],
