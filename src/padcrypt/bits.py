@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from ._record import Record
 
+# bound once: a lookup of object.__setattr__ costs more than the store
+_set = object.__setattr__
+
 
 class BitString(Record):
     """`length` bits, MSB-first in the int `value`; compared by value.
@@ -22,12 +25,12 @@ class BitString(Record):
     __slots__ = ("value", "length")
 
     def __init__(self, value: int, length: int) -> None:
-        if length < 0:
-            raise ValueError("negative length")
-        if value < 0 or value >> length:
+        if length < 0 or value < 0 or value >> length:
+            if length < 0:
+                raise ValueError("negative length")
             raise ValueError(f"value {value} does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
+        _set(self, "value", value)
+        _set(self, "length", length)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

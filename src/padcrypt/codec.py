@@ -72,12 +72,12 @@ class MessageSpace(Record):
         if q:
             if total != q:
                 raise InvalidSpace(
-                    f"probabilities sum to {Fraction(total, q)}, expected 1")
+                    f"probabilities sum to {_shown(Fraction(total, q))}, expected 1")
         elif isinstance(total, Fraction):
             if total != 1:
-                raise InvalidSpace(f"probabilities sum to {total}, expected 1")
+                raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
         elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
-            raise InvalidSpace(f"probabilities sum to {total}, expected 1")
+            raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_weights", weights)
@@ -89,6 +89,19 @@ class MessageSpace(Record):
     @property
     def is_exact(self) -> bool:
         return self._q > 0
+
+
+def _shown(total: Fraction | float) -> str:
+    """A sum of probabilities in at most 80 characters: exact when that fits,
+    as `5/6`, `7/6` or `1.1`, else rounded, since str() of a number past
+    4,300 digits raises ValueError and a shorter one can run to kilobytes."""
+    if (isinstance(total, float)
+            or total.numerator.bit_length() + total.denominator.bit_length() <= 256):
+        return str(total)
+    try:
+        return f"about {total.numerator / total.denominator:.6g}"
+    except OverflowError:
+        return "more than 1e308"
 
 
 class PrefixCode(Record):
@@ -110,15 +123,13 @@ class PrefixCode(Record):
         table = {(w.length, w.value): m for m, w in codebook.items()}
         if len(table) != len(codebook):
             raise InvalidCode("codebook is not injective")
+        # as sorted 0/1 strings, a word is a prefix of some other word exactly
+        # when it is a prefix of the word right after it
+        words = sorted([bin(v | 1 << n)[3:] for n, v in table])
+        if any(map(str.startswith, words[1:], words)):
+            raise InvalidCode("codeword set is not prefix-free")
         lengths = tuple(sorted({n for n, _ in table}))
-        # left-aligned and sorted (shorter first on a tie), a word is a prefix of
-        # some other word exactly when it is a prefix of the word right after it
-        top = lengths[-1]
-        words = sorted((v << (top - n), n) for n, v in table)
-        for (a, n), (b, _) in zip(words, words[1:]):
-            if a >> (top - n) == b >> (top - n):
-                raise InvalidCode("codeword set is not prefix-free")
-        object.__setattr__(self, "max_len", top)
+        object.__setattr__(self, "max_len", lengths[-1])
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_lengths", lengths)
 

@@ -80,6 +80,19 @@ HOSTILE_CODEBOOKS = {
 }
 
 
+def large_prime_space_file(count: int = 1000, below: int = 100_000) -> str:
+    """A space file of `count` messages, each with probability 1/p for one
+    of the `count` largest primes below `below`: its probabilities sum to
+    about 0.0106, and as one fraction to thousands of digits."""
+    sieve = bytearray([1]) * below
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(below) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, below, i)))
+    primes = [i for i in range(below) if sieve[i]][-count:]
+    return "".join(f"{i:04x} 1/{p}\n" for i, p in enumerate(primes))
+
+
 def hostile_pools(blob: bytes) -> dict[str, tuple[bytes, str]]:
     """A saved pool's bytes cut inside the cursor field, and with the cursor
     one past the material, each with the error text KeyPool.load gives."""

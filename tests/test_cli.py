@@ -16,7 +16,7 @@ from padcrypt import cipher, cli, codec, keystore
 from padcrypt.cli import main, parse_space_file
 from padcrypt.errors import PadcryptError
 
-from conftest import HOSTILE_CODEBOOKS, hostile_pools
+from conftest import HOSTILE_CODEBOOKS, hostile_pools, large_prime_space_file
 
 SPACE_4 = """\
 # four messages, uniform
@@ -1085,6 +1085,16 @@ def test_zero_denominator_in_space_file_is_an_error_line(tmp_path, capsys):
     assert main(["build-code", "--space", space,
                  "--out", str(tmp_path / "codebook")]) == 2
     assert capsys.readouterr().err.startswith("ERROR PadcryptError: space file line 1:")
+
+
+def test_a_bad_sum_of_large_fractions_is_one_short_error_line(tmp_path, capsys):
+    # as one fraction the sum has thousands of digits, past what str() takes
+    space = write(tmp_path, "space.txt", large_prime_space_file())
+    assert main(["build-code", "--space", space,
+                 "--out", str(tmp_path / "codebook")]) == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR InvalidSpace: probabilities sum to about 0.0106194, expected 1\n"
+    assert not (tmp_path / "codebook").exists()
 
 
 # a locale whose encoding is ASCII, with Python's coercion to UTF-8 turned off

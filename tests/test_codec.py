@@ -4,6 +4,7 @@ import io
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     HOSTILE_CODEBOOKS,
     brute_force_optimal_average,
     kraft_sum,
+    large_prime_space_file,
     random_float_space,
     random_rational_space,
     reference_entropy,
@@ -122,6 +124,8 @@ def test_huffman_matches_brute_force_small(seeded):
 
 
 def test_exact_space_errors_keep_their_texts():
+    primes = [Fraction(1, int(line.split("/")[1]))
+              for line in large_prime_space_file().splitlines()]
     cases = [
         # the sign is checked before the sum
         ([Fraction(-1, 2), Fraction(1, 3)], "negative probability"),
@@ -132,10 +136,16 @@ def test_exact_space_errors_keep_their_texts():
         ([-0.5, 1.5], "negative probability"),
         ([0.5, 0.6], "probabilities sum to 1.1, expected 1"),
         ([Fraction(1, 2), 0], "probabilities sum to 1/2, expected 1"),
+        # a sum whose exact text would pass 80 characters is rounded: as one
+        # fraction these run to thousands of digits, past what str() takes
+        (primes, "probabilities sum to about 0.0106194, expected 1"),
+        ([*primes, 0], "probabilities sum to about 0.0106194, expected 1"),
+        ([Fraction(1, 3 ** 200), Fraction(1, 2)], "probabilities sum to about 0.5, expected 1"),
+        ([Fraction(10 ** 400), Fraction(0)], "probabilities sum to more than 1e308, expected 1"),
     ]
     for probs, text in cases:
         with pytest.raises(InvalidSpace) as exc:
-            pc.MessageSpace([bytes([i]) for i in range(len(probs))], probs)
+            pc.MessageSpace([i.to_bytes(2, "big") for i in range(len(probs))], probs)
         assert str(exc.value) == text
 
 
@@ -414,13 +424,17 @@ def test_prefix_code_accepts_exactly_the_prefix_free_injective_books(words):
 
 @st.composite
 def near_prefix_free_words(draw):
-    """Some leaves of a random binary tree, so prefix-free, and perhaps one
-    word more that is a copy, a prefix or an extension of one of them."""
+    """Some leaves of a random binary tree, so prefix-free, perhaps one of
+    them lengthened past 1,000 bits, and perhaps one word more that is a
+    copy, a prefix or an extension of one of them."""
     words = [""]
     for _ in range(draw(st.integers(0, 16))):
         w = words.pop(draw(st.integers(0, len(words) - 1)))
         words += [w + "0", w + "1"]
     words = [w for w in words if draw(st.integers(0, 3))] or words[:1]
+    if draw(st.integers(0, 3)) == 0:  # a leaf stays a leaf however long it grows
+        i = draw(st.integers(0, len(words) - 1))
+        words[i] += bin(draw(st.integers(0, 2 ** 1001 - 1)) | 1 << 1001)[3:]
     if draw(st.booleans()):
         w = draw(st.sampled_from(words))
         extra = w[:draw(st.integers(0, len(w)))] + draw(st.text("01", max_size=3))
@@ -454,6 +468,23 @@ def assert_prefix_code_verdict(words):
         return
     with pytest.raises(InvalidCode, match=f"^{expected}$"):
         pc.PrefixCode(book)
+
+
+def test_prefix_code_check_needs_memory_linear_in_the_codebook():
+    # 1,000 words `1` + a 10-bit index and one 200,000-bit word of zeros:
+    # a check that left-aligned every word to the longest held 1,000 copies
+    # of 200,000 bits, about 128 times the file's size
+    lines = [f"{i} {i:04x} 1{i:010b}\n" for i in range(1000)]
+    lines.append(f"1000 {1000:04x} {'0' * 200_000}\n")
+    text = f"padcrypt-codebook 1 custom {len(lines)}\n" + "".join(lines)
+    tracemalloc.start()
+    try:
+        code, _ = pc.load_codebook(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.max_len == 200_000
+    assert peak <= 16 * len(text)
 
 
 def test_max_codeword_length():
