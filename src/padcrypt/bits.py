@@ -18,8 +18,7 @@ class BitString(Record):
 
     Like every padcrypt record, a slotted class rather than a frozen
     dataclass: importing `dataclasses` would cost a cold CLI call more than
-    the command's own work.  BitStrings are compared and hashed on hot
-    paths, so `==` and `hash` are written out for the two fields.
+    the command's own work.
     """
 
     __slots__ = ("value", "length")
@@ -31,14 +30,6 @@ class BitString(Record):
             raise ValueError(f"value {value} does not fit in {length} bits")
         _set(self, "value", value)
         _set(self, "length", length)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
 
     # --- constructors ---
 
@@ -84,11 +75,6 @@ class BitString(Record):
             raise ValueError("xor of unequal lengths")
         return BitString(self.value ^ other.value, self.length)
 
-    def prefix(self, n: int) -> "BitString":
-        if not 0 <= n <= self.length:
-            raise ValueError(n)
-        return BitString(self.value >> (self.length - n), n)
-
     def slice(self, start: int, stop: int) -> "BitString":
         if not 0 <= start <= stop <= self.length:
             raise ValueError((start, stop))
@@ -120,4 +106,4 @@ def elias_gamma_decode(stream: BitString) -> tuple[int, int]:
     consumed = 2 * zeros + 1
     if consumed > len(stream):
         raise ValueError("truncated gamma code")
-    return stream.prefix(consumed).value, consumed
+    return stream.slice(0, consumed).value, consumed

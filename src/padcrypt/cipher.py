@@ -67,10 +67,10 @@ def encrypt(m: bytes, code: PrefixCode, pool: KeyPool,
 
 
 def decrypt(c: Ciphertext, code: PrefixCode, pool: KeyPool) -> bytes:
-    """Prefix-scan inverse: XOR key bits in until a codeword appears.
-
-    Consumes exactly as many key bits as the sender did; the trailing pad
-    bits are discarded unread.  Fail-stop: no partial message is emitted.
+    """Inverse of encrypt: peek l key bits, look up the one codeword that
+    prefixes the ciphertext XOR them, then take its s bits, as the sender
+    did.  The trailing pad bits are discarded unread.  Fail-stop: no partial
+    message is emitted.
     """
     if c.l != code.max_len:
         raise DecryptionFailed(

@@ -19,7 +19,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BoundViolation, PadcryptError
+from .errors import BoundViolation, PadcryptError, cut
 
 # Each command imports the library modules it runs inside its own function,
 # so a cold call loads only those: `audit` never loads the codec, and only
@@ -70,7 +70,7 @@ def parse_space_file(text: str) -> MessageSpace:
             probs.append(Fraction(prob_token.strip()))
             messages.append(msg)
         except (ValueError, ZeroDivisionError) as exc:
-            raise PadcryptError(f"space file line {lineno}: {exc}") from None
+            raise PadcryptError(f"space file line {lineno}: {cut(str(exc))}") from None
     return MessageSpace(messages, probs)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NondeterministicCompressor,
     NotACodeword,
     NotInCodebook,
+    cut,
 )
 
 TYPE_CHECKING = False
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
     from typing import Callable, Sequence, TextIO
 
 PROB_SUM_TOL = 1e-9
+MAX_Q_BITS = 2 ** 15  # cap on an exact space's _q, which each of its weights can reach
 
 
 class MessageSpace(Record):
@@ -64,18 +66,21 @@ class MessageSpace(Record):
         q = 0
         weights = probs
         if all(isinstance(p, Fraction) for p in probs):
-            q = math.lcm(*(p.denominator for p in probs))
+            q = 1
+            for d in {p.denominator for p in probs}:
+                q = math.lcm(q, d)
+                if q.bit_length() > MAX_Q_BITS:
+                    raise InvalidSpace(
+                        f"common denominator of the probabilities passes {MAX_Q_BITS} bits")
             weights = tuple(p.numerator * (q // p.denominator) for p in probs)
         if any(w < 0 for w in weights):
             raise InvalidSpace("negative probability")
         total = sum(weights)
-        if q:
-            if total != q:
+        # a sum with no float in it is exact; q is 0 for ints, or ints and Fractions
+        if isinstance(total, (int, Fraction)):
+            if total != (q or 1):
                 raise InvalidSpace(
-                    f"probabilities sum to {_shown(Fraction(total, q))}, expected 1")
-        elif isinstance(total, Fraction):
-            if total != 1:
-                raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
+                    f"probabilities sum to {_shown(Fraction(total, q or 1))}, expected 1")
         elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
             raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
         object.__setattr__(self, "messages", messages)
@@ -146,7 +151,7 @@ class ExternalCompressor(Record):
         again = self.transform(m)
         if out != again:
             raise NondeterministicCompressor(
-                f"{self.name} gave different outputs for {m!r}")
+                f"{self.name} gave different outputs for {cut(repr(m))}")
         if isinstance(out, BitString):
             return out
         return BitString.from_bytes(bytes(out))
@@ -244,7 +249,7 @@ def wrap_external(compressor: ExternalCompressor, space: MessageSpace) -> Prefix
         out = compressor.run(m)
         if len(out) == 0:
             raise EmptyCompressorOutput(
-                f"{compressor.name} produced no output for {m!r}")
+                f"{compressor.name} produced no output for {cut(repr(m))}")
         frames.append(elias_gamma(len(out)) + out)
 
     # gamma framing leaves only exact-equality collisions possible
@@ -267,7 +272,8 @@ def encode(code: PrefixCode, m: bytes) -> BitString:
     try:
         return code.codebook[bytes(m)]
     except KeyError:
-        raise NotInCodebook(f"message {bytes(m)!r} has no codeword") from None
+        # names no message: `encrypt` prints this, and a plaintext is no error text
+        raise NotInCodebook("the message has no codeword") from None
 
 
 def decode_prefix(code: PrefixCode, stream: BitString) -> tuple[bytes, int]:
@@ -306,7 +312,7 @@ def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
     if len(header) != 4 or header[0] != CODEBOOK_MAGIC:
         raise CodebookFormatError("bad codebook header")
     if header[1] != str(CODEBOOK_VERSION):
-        raise CodebookFormatError(f"unsupported codebook version {header[1]}")
+        raise CodebookFormatError(f"unsupported codebook version {cut(header[1])}")
     codec_name = header[2]
     try:
         count = int(header[3])
@@ -324,7 +330,7 @@ def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
             msg = b"" if parts[1] == "-" else bytes.fromhex(parts[1])
             word = BitString(0, 0) if parts[2] == "-" else BitString.from_str(parts[2])
         except ValueError as exc:
-            raise CodebookFormatError(f"line {lineno}: {exc}") from None
+            raise CodebookFormatError(f"line {lineno}: {cut(str(exc))}") from None
         entries.append((idx, msg, word))
     if len(entries) != count or [e[0] for e in entries] != list(range(count)):
         raise CodebookFormatError("record indices do not match header count")

@@ -5,6 +5,12 @@ class PadcryptError(Exception):
     """Base class for every error raised by this package."""
 
 
+def cut(text: str) -> str:
+    """Text an input file supplies, for an error message: its first 60
+    characters and `...` if longer, so any file gives a short `ERROR` line."""
+    return text if len(text) <= 60 else f"{text[:60]}..."
+
+
 # --- codec ---------------------------------------------------------------
 
 class InvalidSpace(PadcryptError):

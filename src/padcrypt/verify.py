@@ -244,13 +244,13 @@ class UniformityReport(Record):
 
 
 def empirical_uniformity(space: MessageSpace, code: PrefixCode,
-                         rng: RandomSource, trials: int, *,
-                         fixed_message: bytes | None = None) -> UniformityReport:
+                         rng: RandomSource, trials: int) -> UniformityReport:
     """Chi-square goodness of fit of simulated ciphertexts against uniform.
 
-    Each trial XORs the codeword with fresh key bits from rng and pads it
-    with cipher's own fill, also from rng.  With fixed_message set, the
-    per-message conditional is tested instead of the marginal.
+    Each trial draws a message from space, XORs its codeword with fresh key
+    bits from rng and pads it with cipher's own fill, also from rng.  The
+    conditional test of one message m is the test on the one-message space
+    MessageSpace([m], [Fraction(1)]).
     """
     if trials < 0:
         raise ValueError("negative trial count")
@@ -261,13 +261,9 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
 
     counts = [0] * (2 ** l)
     for _ in range(trials):
-        if fixed_message is not None:
-            m = fixed_message
-        else:
-            # first bound above u in [0, 1); dust past the last bound picks the last message
-            i = bisect.bisect_right(bounds, rng.bits(53).value / (1 << 53))
-            m = space.messages[min(i, last)]
-        x = encode(code, m)
+        # first bound above u in [0, 1); dust past the last bound picks the last message
+        i = bisect.bisect_right(bounds, rng.bits(53).value / (1 << 53))
+        x = encode(code, space.messages[min(i, last)])
         counts[cipher._fill(x.xor(rng.bits(len(x))), l, rng).value] += 1
 
     insufficient = trials < CHI_SQUARE_MIN_PER_BIN * 2 ** l

@@ -191,22 +191,22 @@ def test_roundtrip_and_key_thrift(tmp_path):
 
 def test_statistical_uniformity(monkeypatch):
     """Criterion 6: committed seed, l = 8, 10^5 encryptions of a fixed
-    message: chi-square p > 0.01; biased all-zero pad: p < 1e-6."""
+    message, drawn from the space of that message alone: chi-square
+    p > 0.01; biased all-zero pad: p < 1e-6."""
     sp = dyadic_space_l8()
     code = pc.build_huffman(sp)
     assert code.max_len == 8
-    fixed = sp.messages[0]  # 1-bit codeword, 7 pad bits per ciphertext
+    # 1-bit codeword, 7 pad bits per ciphertext
+    fixed = pc.MessageSpace([sp.messages[0]], [Fraction(1)])
 
-    rep = pc.empirical_uniformity(sp, code, pc.SeededRandomSource(CHI_SEED),
-                                  100_000, fixed_message=fixed)
+    rep = pc.empirical_uniformity(fixed, code, pc.SeededRandomSource(CHI_SEED), 100_000)
     assert not rep.insufficient_data
     assert rep.p_value > 0.01
 
     # the fault sits in cipher's own fill: zeros, drawing nothing from rng
     monkeypatch.setattr(cipher, "_fill",
                         lambda bits, width, rng: bits + BitString(0, width - len(bits)))
-    biased = pc.empirical_uniformity(sp, code, pc.SeededRandomSource(CHI_SEED),
-                                     100_000, fixed_message=fixed)
+    biased = pc.empirical_uniformity(fixed, code, pc.SeededRandomSource(CHI_SEED), 100_000)
     assert biased.p_value < 1e-6
     print(f"\nPASS statistical-uniformity: p = {rep.p_value:.4f} > 0.01, "
           f"biased pad p = {biased.p_value:.3g} < 1e-6")

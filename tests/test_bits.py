@@ -46,12 +46,12 @@ def test_byte_packing_msb_first():
     assert BitString.from_bytes(b"\x81") == BitString.from_str("10000001")
 
 
-def test_prefix_and_slice():
+def test_slice_from_the_start_and_inside():
     b = BitString.from_str("110100")
-    assert str(b.prefix(3)) == "110"
+    assert str(b.slice(0, 3)) == "110"
     assert str(b.slice(2, 5)) == "010"
-    assert b.prefix(4) == BitString.from_str("1101")
-    assert b.prefix(3) != BitString.from_str("111")
+    assert b.slice(0, 4) == BitString.from_str("1101")
+    assert b.slice(0, 3) != BitString.from_str("111")
 
 
 def test_bitstring_is_an_immutable_value():

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 import padcrypt
 from padcrypt import cipher, cli, codec, keystore
 from padcrypt.cli import main, parse_space_file
-from padcrypt.errors import PadcryptError
+from padcrypt.codec import MAX_Q_BITS
+from padcrypt.errors import InvalidSpace, PadcryptError
 
 from conftest import HOSTILE_CODEBOOKS, hostile_pools, large_prime_space_file
 
@@ -1055,6 +1057,75 @@ def test_key_dir_env(tmp_path, monkeypatch, capsys):
                  "--rng", "seeded:1", "--insecure-test"]) == 0
     assert (tmp_path / "rel.pool").exists()
     assert main(["audit", "--key", "rel.pool"]) == 0
+
+
+def test_an_encrypt_refusal_names_no_message(tmp_path, monkeypatch, capsys):
+    # a message outside the codebook gets one fixed line, which shows neither
+    # the plaintext nor its length, and spends no key
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
+    write(tmp_path, "space.txt", SPACE_4)
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "k.pool",
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    pool = (tmp_path / "k.pool").read_bytes()
+    errs = set()
+    for message in (b"attack at dawn", b"retreat at dusk, by the river"):
+        (tmp_path / "msg").write_bytes(message)
+        capsys.readouterr()
+        assert main(["encrypt", "--code", "codebook", "--key", "k.pool",
+                     "--in", "msg", "--out", "frame"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and b"at d" not in err.encode()
+        errs.add(err)
+        assert (tmp_path / "k.pool").read_bytes() == pool
+        assert not (tmp_path / "frame").exists()
+    assert errs == {"ERROR NotInCodebook: the message has no codeword\n"}
+
+
+LONG = "9" * 10 ** 6
+
+
+@pytest.mark.parametrize("kind, text, start", [
+    ("codebook", f"padcrypt-codebook 1 huffman 1\n0 61 {'2' * 10 ** 6}\n",
+     "ERROR CodebookFormatError: line 2: not a bit string: '2222"),
+    ("codebook", f"padcrypt-codebook {LONG} huffman 1\n0 61 0\n",
+     "ERROR CodebookFormatError: unsupported codebook version 9999"),
+    ("space", f"61 x{LONG}\n", "ERROR PadcryptError: space file line 1: "),
+], ids=["codeword", "version", "space-line"])
+def test_a_long_token_from_a_file_is_cut_in_its_error_line(
+        tmp_path, monkeypatch, capsys, kind, text, start):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "space.txt", SPACE_4)
+    write(tmp_path, "hostile", text)
+    argv = (["build-code", "--space", "hostile", "--out", "codebook"] if kind == "space"
+            else ["report", "--space", "space.txt", "--code", "hostile"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(start) and err.count("\n") == 1
+    assert len(err) <= 200
+
+
+def test_a_space_past_the_denominator_cap_is_refused_in_memory_linear_in_its_file(
+        tmp_path, capsys):
+    # 1/p for 4,000 primes: a common denominator of about 66,000 bits, which
+    # with one such weight per message would take hundreds of times the file
+    text = large_prime_space_file(4000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpace) as exc:
+            parse_space_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    refusal = f"common denominator of the probabilities passes {MAX_Q_BITS} bits"
+    assert str(exc.value) == refusal
+    assert peak <= 24 * len(text)
+    space = write(tmp_path, "space.txt", text)
+    assert main(["build-code", "--space", space, "--out", str(tmp_path / "codebook")]) == 2
+    assert capsys.readouterr().err == f"ERROR InvalidSpace: {refusal}\n"
+    assert not (tmp_path / "codebook").exists()
 
 
 def test_errors_are_machine_parsable(tmp_path, capsys):

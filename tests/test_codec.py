@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import padcrypt as pc
 from padcrypt.bits import BitString, elias_gamma_decode
-from padcrypt.codec import _canonical
+from padcrypt.codec import MAX_Q_BITS, _canonical
 from padcrypt.errors import (
     CodebookFormatError,
     DegenerateSpace,
@@ -142,11 +142,29 @@ def test_exact_space_errors_keep_their_texts():
         ([*primes, 0], "probabilities sum to about 0.0106194, expected 1"),
         ([Fraction(1, 3 ** 200), Fraction(1, 2)], "probabilities sum to about 0.5, expected 1"),
         ([Fraction(10 ** 400), Fraction(0)], "probabilities sum to more than 1e308, expected 1"),
+        # a sum of ints is exact too, however large
+        ([10 ** 400, 0], "probabilities sum to more than 1e308, expected 1"),
+        ([2, 0], "probabilities sum to 2, expected 1"),
     ]
     for probs, text in cases:
         with pytest.raises(InvalidSpace) as exc:
             pc.MessageSpace([i.to_bytes(2, "big") for i in range(len(probs))], probs)
         assert str(exc.value) == text
+
+
+def test_common_denominator_is_capped_at_max_q_bits():
+    # block n=12 of (9/10, 1/10): q = 10^12, about 40 bits
+    block = [Fraction(9, 10) ** k * Fraction(1, 10) ** (12 - k)
+             for k in range(13) for _ in range(math.comb(12, k))]
+    assert pc.MessageSpace([i.to_bytes(2, "big") for i in range(4096)], block)._q == 10 ** 12
+    # q = 2^(bits - 1) has `bits` bits
+    for bits in (MAX_Q_BITS - 1, MAX_Q_BITS):
+        p = Fraction(1, 2 ** (bits - 1))
+        assert pc.MessageSpace([b"a", b"b"], [p, 1 - p])._q.bit_length() == bits
+    p = Fraction(1, 2 ** MAX_Q_BITS)
+    with pytest.raises(InvalidSpace, match=f"^common denominator of the probabilities "
+                                           f"passes {MAX_Q_BITS} bits$"):
+        pc.MessageSpace([b"a", b"b"], [p, 1 - p])
 
 
 def huffman_on_fraction_heap(space):

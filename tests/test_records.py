@@ -20,6 +20,7 @@ HALVES = {B(0, 1): Fraction(1, 2), B(1, 1): Fraction(1, 2)}
 def records():
     """A factory for one record of each class, with the record's pinned repr."""
     return [
+        (lambda: B(5, 3), "BitString(value=5, length=3)"),
         (lambda: pc.MessageSpace([b"a", b"b"], [Fraction(1, 4), Fraction(3, 4)]),
          "MessageSpace(messages=(b'a', b'b'), probs=(Fraction(1, 4), Fraction(3, 4)))"),
         (lambda: pc.PrefixCode({b"a": B(0, 1), b"b": B(1, 1)}),
@@ -94,6 +95,15 @@ def test_records_take_their_fields_by_position_or_name():
                          ((0.5, "x"), {"observable": "y"})]:
         with pytest.raises(TypeError):
             LeakReport(*args, **kwargs)
+
+
+def test_bitstring_hashes_as_its_two_fields_and_compares_only_with_bitstrings():
+    # dicts and sets keyed by BitStrings keep the order these hashes give
+    for value, length in [(0, 0), (5, 3), (1, 1), (2 ** 70 + 1, 80)]:
+        assert hash(B(value, length)) == hash((value, length))
+    assert B(5, 3) != B(5, 4) and B(5, 3) != B(4, 3)
+    assert B(5, 3).__eq__(Ciphertext(B(5, 3))) is NotImplemented
+    assert B(5, 3).__eq__((5, 3)) is NotImplemented
 
 
 def test_uniformity_counts_compare():

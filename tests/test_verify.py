@@ -211,7 +211,7 @@ def test_table_matches_every_key_and_pad():
                 for key_bits, naive in itertools.product({s, l}, (False, True)):
                     npad = 0 if naive else l - s
                     tally = Counter(
-                        cipher._fill(x.xor(BitString(k, key_bits).prefix(s)), s + npad,
+                        cipher._fill(x.xor(BitString(k, key_bits).slice(0, s)), s + npad,
                                      FixedPad(r))
                         for k in range(2 ** key_bits) for r in range(2 ** npad))
                     pairs = 2 ** (key_bits + npad)
@@ -299,11 +299,14 @@ def test_os_sourced_sampling_draws_what_it_drew_before(monkeypatch):
     assert rep.counts == [27, 23, 24, 25, 26, 24, 23, 28]
 
 
-def test_empirical_uniformity_fixed_message():
-    sp = uniform_space(4)
-    rep = pc.empirical_uniformity(sp, small_l_code(),
-                                  pc.SeededRandomSource(7), 20_000,
-                                  fixed_message=b"\x00")
+def one_message_space(m):
+    """The space whose uniformity test is the conditional test of m."""
+    return pc.MessageSpace([m], [Fraction(1)])
+
+
+def test_empirical_uniformity_on_a_one_message_space():
+    rep = pc.empirical_uniformity(one_message_space(b"\x00"), small_l_code(),
+                                  pc.SeededRandomSource(7), 20_000)
     assert rep.p_value > 0.01
 
 
@@ -311,10 +314,8 @@ def test_empirical_uniformity_detects_biased_pad(monkeypatch):
     # the fault sits in cipher's own fill: zeros, drawing nothing from rng
     monkeypatch.setattr(cipher, "_fill",
                         lambda bits, width, rng: bits + BitString(0, width - len(bits)))
-    sp = uniform_space(4)
-    rep = pc.empirical_uniformity(sp, small_l_code(),
-                                  pc.SeededRandomSource(7), 20_000,
-                                  fixed_message=b"\x00")
+    rep = pc.empirical_uniformity(one_message_space(b"\x00"), small_l_code(),
+                                  pc.SeededRandomSource(7), 20_000)
     assert rep.p_value < 1e-6
 
 
