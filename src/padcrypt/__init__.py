@@ -35,9 +35,9 @@ _HOMES = {
     **dict.fromkeys(["BitString", "elias_gamma", "elias_gamma_decode"], "bits"),
     **dict.fromkeys(["Ciphertext", "EncryptionRecord", "decrypt", "encrypt",
                      "key_cost", "read_frame", "write_frame"], "cipher"),
-    **dict.fromkeys(["ExternalCompressor", "MessageSpace", "PrefixCode",
-                     "build_huffman", "decode_prefix", "encode", "load_codebook",
-                     "save_codebook", "trim_code", "wrap_external"], "codec"),
+    **dict.fromkeys(["MessageSpace", "PrefixCode", "build_huffman", "decode_prefix",
+                     "encode", "load_codebook", "save_codebook", "trim_code",
+                     "wrap_external"], "codec"),
     **dict.fromkeys(["KeyPool", "generate_pool"], "keystore"),
     **dict.fromkeys(["OsRandomSource", "RandomSource", "SeededRandomSource"], "rng"),
     **dict.fromkeys(["BoundReport", "LeakReport", "SecrecyReport",

@@ -14,7 +14,6 @@ abbreviations and the `--` separator are not accepted.
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 from types import SimpleNamespace
@@ -29,7 +28,9 @@ if TYPE_CHECKING:
     from collections.abc import Callable
     from typing import TextIO
 
-    from .codec import ExternalCompressor, MessageSpace, PrefixCode
+    from fractions import Fraction
+
+    from .codec import MessageSpace, PrefixCode
     from .keystore import KeyPool
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
@@ -47,8 +48,6 @@ def parse_space_file(text: str) -> MessageSpace:
     A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
     for the empty message.  Blank lines and `#` comments are skipped.
     """
-    from fractions import Fraction
-
     from .codec import MessageSpace
 
     messages: list[bytes] = []
@@ -67,11 +66,29 @@ def parse_space_file(text: str) -> MessageSpace:
             else:
                 token, prob_token = line.split(None, 1)
                 msg = b"" if token == "-" else bytes.fromhex(token)
-            probs.append(Fraction(prob_token.strip()))
+            probs.append(_probability(prob_token.strip()))
             messages.append(msg)
         except (ValueError, ZeroDivisionError) as exc:
             raise PadcryptError(f"space file line {lineno}: {cut(str(exc))}") from None
     return MessageSpace(messages, probs)
+
+
+def _probability(token: str) -> Fraction:
+    """Fraction(token), refused before Fraction builds 10**|e| for an exponent
+    e past codec.MAX_Q_BITS plus the token's length: a value that is not 0
+    then exceeds 1 or has a denominator past the cap, so no space holds it."""
+    import re
+    from fractions import Fraction
+
+    from .codec import MAX_Q_BITS
+
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", token)
+    if exponent and abs(int(exponent[1])) > MAX_Q_BITS + len(token):
+        mantissa = token[:exponent.start()]
+        if any(map(int, filter(str.isdecimal, mantissa))):
+            raise ValueError(f"exponent out of range in {token!r}")
+        token = mantissa + "e0"  # its digits are all 0: so is its value
+    return Fraction(token)
 
 
 def _read(path: str, mode: str = "r") -> "str | bytes":
@@ -124,10 +141,8 @@ def resolve_key_path(path: str) -> str:
     return path
 
 
-def shell_compressor(command: str) -> ExternalCompressor:
+def shell_compressor(command: str) -> Callable[[bytes], bytes]:
     import subprocess
-
-    from .codec import ExternalCompressor
 
     def run(data: bytes) -> bytes:
         proc = subprocess.run(command, shell=True, input=data, capture_output=True)
@@ -135,7 +150,7 @@ def shell_compressor(command: str) -> ExternalCompressor:
             raise PadcryptError(
                 f"compressor {command!r} exited with status {proc.returncode}")
         return proc.stdout
-    return ExternalCompressor(run, command)
+    return run
 
 
 # --- subcommands ---------------------------------------------------------
@@ -179,7 +194,7 @@ def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
         return codec.trim_code(codec.build_huffman(space), space), "trimmed-huffman"
     if choice.startswith("external:"):
         command = choice.split(":", 1)[1]
-        return codec.wrap_external(shell_compressor(command), space), "external"
+        return codec.wrap_external(shell_compressor(command), space, command), "external"
     raise PadcryptError(f"unknown codec {choice!r}")
 
 
@@ -189,18 +204,16 @@ def cmd_build_code(args: SimpleNamespace) -> int:
 
     space = parse_space_file(_read(args.space))
     code, name = _build_code(space, args.codec)
-    out = io.StringIO()
-    codec.save_codebook(code, out, name)
-    _write_then_say(args.out, lambda: write_file(args.out, lambda: out.getvalue().encode()),
-                    f"codebook {name}: {len(code.codebook)} messages, l={code.max_len}"
-                    f" -> {args.out}")
+    _write_then_say(args.out, lambda: write_file(
+        args.out, lambda: codec.save_codebook(code, name).encode()),
+        f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")
     return EXIT_OK
 
 
 def _load_code(path: str) -> tuple[PrefixCode, str]:
     from . import codec
 
-    return codec.load_codebook(io.StringIO(_read(path)))
+    return codec.load_codebook(_read(path))
 
 
 def _load_pool(args: SimpleNamespace) -> KeyPool:
@@ -265,11 +278,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
     if args.report_out:
         from ._files import write_file
 
-        out = io.StringIO()
-        report.write_text(out)
-        _write_then_say(args.report_out,
-                        lambda: write_file(args.report_out, lambda: out.getvalue().encode()),
-                        verdict)
+        _write_then_say(args.report_out, lambda: write_file(
+            args.report_out, lambda: report.text().encode()), verdict)
     else:
         print(verdict)
     return EXIT_OK if report.perfect else EXIT_LEAKY

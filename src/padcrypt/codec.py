@@ -9,6 +9,7 @@ its outputs.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 
 from ._record import Record
 from .bits import BitString, elias_gamma
@@ -27,7 +28,7 @@ from .errors import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Callable, Sequence, TextIO
+    from typing import Callable, Sequence
 
 PROB_SUM_TOL = 1e-9
 MAX_Q_BITS = 2 ** 15  # cap on an exact space's _q, which each of its weights can reach
@@ -139,24 +140,6 @@ class PrefixCode(Record):
         object.__setattr__(self, "_lengths", lengths)
 
 
-class ExternalCompressor(Record):
-    """Deterministic byte-string -> byte-string (or bit-string) transform."""
-
-    __slots__ = ("transform", "name")
-    transform: Callable[[bytes], "bytes | BitString"]
-    name: str
-
-    def run(self, m: bytes) -> BitString:
-        out = self.transform(m)
-        again = self.transform(m)
-        if out != again:
-            raise NondeterministicCompressor(
-                f"{self.name} gave different outputs for {cut(repr(m))}")
-        if isinstance(out, BitString):
-            return out
-        return BitString.from_bytes(bytes(out))
-
-
 # --- Huffman -------------------------------------------------------------
 
 def build_huffman(space: MessageSpace) -> PrefixCode:
@@ -236,34 +219,32 @@ def trim_code(code: PrefixCode, space: MessageSpace) -> PrefixCode:
 
 # --- external compressor adapter ----------------------------------------
 
-def wrap_external(compressor: ExternalCompressor, space: MessageSpace) -> PrefixCode:
-    """Explicit prefix-free codebook from a deterministic compressor.
+def wrap_external(compress: Callable[[bytes], "bytes | BitString"], space: MessageSpace,
+                  name: str) -> PrefixCode:
+    """Explicit prefix-free codebook from a deterministic compressor, which
+    runs twice on each message; name stands for it in error texts.
 
     Each output is framed as gamma(bit length) || bits, which is prefix-free
     whenever outputs differ; identical outputs get a fixed-width message
     index appended to restore injectivity.
     """
-    L = len(space)
     frames: list[BitString] = []
     for m in space.messages:
-        out = compressor.run(m)
+        out = compress(m)
+        if out != compress(m):
+            raise NondeterministicCompressor(
+                f"{name} gave different outputs for {cut(repr(m))}")
+        if not isinstance(out, BitString):
+            out = BitString.from_bytes(bytes(out))
         if len(out) == 0:
-            raise EmptyCompressorOutput(
-                f"{compressor.name} produced no output for {cut(repr(m))}")
+            raise EmptyCompressorOutput(f"{name} produced no output for {cut(repr(m))}")
         frames.append(elias_gamma(len(out)) + out)
 
     # gamma framing leaves only exact-equality collisions possible
-    groups: dict[BitString, list[int]] = {}
-    for i, f in enumerate(frames):
-        groups.setdefault(f, []).append(i)
-    width = (L - 1).bit_length()
-    codebook: dict[bytes, BitString] = {}
-    for i, m in enumerate(space.messages):
-        frame = frames[i]
-        if len(groups[frame]) > 1:
-            frame = frame + BitString(i, width)
-        codebook[m] = frame
-    return PrefixCode(codebook)
+    seen = Counter(frames)
+    width = (len(space) - 1).bit_length()
+    return PrefixCode({m: f + BitString(i, width) if seen[f] > 1 else f
+                       for i, (m, f) in enumerate(zip(space.messages, frames))})
 
 
 # --- encode / decode -----------------------------------------------------
@@ -285,7 +266,8 @@ def decode_prefix(code: PrefixCode, stream: BitString) -> tuple[bytes, int]:
         m = code._table.get((n, stream.value >> (size - n)))
         if m is not None:
             return m, n
-    raise NotACodeword(f"no codeword prefixes {stream}")
+    # names no stream bit: in `decrypt` the stream is the codeword and pad
+    raise NotACodeword("no codeword prefixes the stream")
 
 
 # --- codebook file format ------------------------------------------------
@@ -297,36 +279,45 @@ CODEBOOK_MAGIC = "padcrypt-codebook"
 CODEBOOK_VERSION = 1
 
 
-def save_codebook(code: PrefixCode, out: TextIO, codec_name: str = "custom") -> None:
+def save_codebook(code: PrefixCode, codec_name: str = "custom") -> str:
     # load_codebook splits the header on any whitespace
     if codec_name.split() != [codec_name]:
         raise ValueError("codec name must be a single nonempty token")
-    out.write(f"{CODEBOOK_MAGIC} {CODEBOOK_VERSION} {codec_name} {len(code.codebook)}\n")
-    for i, (m, w) in enumerate(code.codebook.items()):
-        out.write(f"{i} {m.hex() or '-'} {str(w) or '-'}\n")
+    return "".join([
+        f"{CODEBOOK_MAGIC} {CODEBOOK_VERSION} {codec_name} {len(code.codebook)}\n",
+        *(f"{i} {m.hex() or '-'} {str(w) or '-'}\n"
+          for i, (m, w) in enumerate(code.codebook.items()))])
 
 
-def load_codebook(src: TextIO) -> tuple[PrefixCode, str]:
-    """Parse a codebook file; returns (code, codec name)."""
-    header = src.readline().split()
+def load_codebook(text: str) -> tuple[PrefixCode, str]:
+    """Parse a codebook file's text; returns (code, codec name)."""
+    lines = text.split("\n")
+    header = lines[0].split()
     if len(header) != 4 or header[0] != CODEBOOK_MAGIC:
         raise CodebookFormatError("bad codebook header")
     if header[1] != str(CODEBOOK_VERSION):
         raise CodebookFormatError(f"unsupported codebook version {cut(header[1])}")
     codec_name = header[2]
+
+    def number(field: str) -> int:
+        # no count or index of a valid file has more digits than the file has
+        # lines, and int() of a longer one takes time quadratic in its length:
+        # such a field reads as -1, which matches no count and no index
+        return int(field) if len(field) <= len(lines) else -1
+
     try:
-        count = int(header[3])
+        count = number(header[3])
     except ValueError:
         raise CodebookFormatError("bad record count") from None
     entries: list[tuple[int, bytes, BitString]] = []
-    for lineno, line in enumerate(src, start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 3:
             raise CodebookFormatError(f"line {lineno}: expected 3 fields")
         try:
-            idx = int(parts[0])
+            idx = number(parts[0])
             msg = b"" if parts[1] == "-" else bytes.fromhex(parts[1])
             word = BitString(0, 0) if parts[2] == "-" else BitString.from_str(parts[2])
         except ValueError as exc:

@@ -26,7 +26,7 @@ from .errors import EnumerationTooLarge
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, TextIO
+    from typing import Iterable
 
     from .rng import RandomSource
 
@@ -83,19 +83,17 @@ class SecrecyReport(Record):
             raise ValueError(f"ciphertext {e} has zero probability")
         return prior * self.per_message_dists[m].get(e, Fraction(0)) / p_e
 
-    def write_text(self, out: TextIO) -> None:
-        out.write(f"l {self.l}\n")
-        out.write(f"verdict {self.verdict}\n")
-        out.write(f"max_deviation {self.max_deviation.numerator}/{self.max_deviation.denominator}\n")
-        out.write("table marginal\n")
-        for e in sorted(self.marginal, key=str):
-            p = self.marginal[e]
-            out.write(f"  {e} {p.numerator}/{p.denominator}\n")
-        for m, dist in self.per_message_dists.items():
-            out.write(f"table conditional {m.hex() or '-'}\n")
-            for e in sorted(dist, key=str):
-                p = dist[e]
-                out.write(f"  {e} {p.numerator}/{p.denominator}\n")
+    def text(self) -> str:
+        """The report file: its header, then one table per distribution."""
+        d = self.max_deviation
+        lines = [f"l {self.l}", f"verdict {self.verdict}",
+                 f"max_deviation {d.numerator}/{d.denominator}"]
+        for name, dist in [("marginal", self.marginal), *(
+                (f"conditional {m.hex() or '-'}", t) for m, t in self.per_message_dists.items())]:
+            lines.append(f"table {name}")
+            lines += (f"  {e} {dist[e].numerator}/{dist[e].denominator}"
+                      for e in sorted(dist, key=str))
+        return "".join(line + "\n" for line in lines)
 
 
 def _table(x: BitString, l: int, key_bits: int, naive: bool) -> dict[tuple[int, int], int]:

@@ -77,6 +77,12 @@ HOSTILE_CODEBOOKS = {
     "codebook-bits": ("padcrypt-codebook 1 huffman 1\n0 61 02\n", "line 2: not a bit string"),
     "codebook-prefix": ("padcrypt-codebook 1 huffman 2\n0 61 0\n1 62 01\n",
                         "not prefix-free"),
+    # a count or an index of 10^6 digits, which int() takes seconds to read
+    # when the interpreter's limit on int() of a string is off
+    "codebook-long-count": (f"padcrypt-codebook 1 huffman {'9' * 10 ** 6}\n0 61 0\n",
+                            "record indices do not match header count"),
+    "codebook-long-index": (f"padcrypt-codebook 1 huffman 1\n{'9' * 10 ** 6} 61 0\n",
+                            "record indices do not match header count"),
 }
 
 

@@ -75,6 +75,16 @@ def test_value_must_fit():
         BitString(4, 2)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: BitString(0, -1), "^negative length$"),
+    (lambda: BitString.from_bytes(b"\x00", 9), "^nbits 9 out of range for 1 bytes$"),
+    (lambda: BitString(5, 3).slice(2, 1), r"^\(2, 1\)$"),
+], ids=["negative-length", "more-bits-than-bytes", "slice-ends-before-it-starts"])
+def test_bad_arguments_are_refused(make, error):
+    with pytest.raises(ValueError, match=error):
+        make()
+
+
 @given(st.lists(st.integers(0, 1), max_size=64))
 def test_bits_roundtrip(bits):
     b = BitString.from_str("".join(map(str, bits)))

@@ -57,6 +57,44 @@ def test_parse_space_file_bad_line():
         parse_space_file("zz 1/2\nff 1/2\n")  # zz is not hex
 
 
+@pytest.mark.parametrize("token", ["1e-1000000", "1e1000000", "1E+1_000_000", "-2.5e-1000000"])
+def test_a_probability_no_space_can_hold_is_refused_before_it_is_built(
+        tmp_path, capsys, token):
+    # Fraction would build 10**1000000, seconds of work and megabytes
+    text = f"61 {token}\n62 1\n"
+    refusal = f"space file line 1: exponent out of range in {token!r}"
+    parse_space_file(SPACE_4)  # the modules parsing loads are not part of its peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(PadcryptError) as exc:
+            parse_space_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == refusal
+    assert peak < 64 * 1024
+    space = write(tmp_path, "space.txt", text)
+    assert main(["build-code", "--space", space, "--out", str(tmp_path / "codebook")]) == 2
+    assert capsys.readouterr().err == f"ERROR PadcryptError: {refusal}\n"
+
+
+def test_a_probability_near_the_cap_still_loads():
+    # 1e-9000 has a denominator of 29,898 bits, under the cap; 1 - 1e-9000 is
+    # split into tokens of at most 4,000 digits, which int() reads under the
+    # interpreter's default limit
+    space = parse_space_file("".join([
+        "61 1e-9000\n",
+        f"62 {'9' * 4000}e-4000\n",
+        f"63 {'9' * 4000}e-8000\n",
+        f"64 {'9' * 1000}e-9000\n",
+    ]))
+    assert space.probs[0] == Fraction(1, 10 ** 9000)
+    assert space._q == 10 ** 9000
+    # a mantissa of zeros is 0 at any exponent
+    for token in ("0e-1000000", "-0.00e+1_000_000"):
+        assert parse_space_file(f"61 {token}\n62 1\n").probs == (0, 1)
+
+
 # --- subcommands ----------------------------------------------------------
 
 def test_keygen_and_audit(tmp_path, capsys):
@@ -165,8 +203,7 @@ def test_stdout_does_not_depend_on_the_message(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_122)
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
-    with open("codebook") as f:
-        code, _ = codec.load_codebook(f)
+    code, _ = codec.load_codebook((tmp_path / "codebook").read_text(encoding="utf-8"))
     assert sorted(len(codec.encode(code, m)) for m in code.codebook) == [1, 2, 2]
     l = code.max_len
     assert main(["keygen", "64", "--out", "full.pool",
@@ -425,8 +462,7 @@ def test_out_that_is_the_commands_own_stdout_gets_the_output_alone(tmp_path):
         return proc.stdout if stdout is None else (tmp_path / stdout).read_bytes()
 
     cli_to("codebook", "build-code", "--space", "space.txt", "--out", "/dev/stdout")
-    with open(tmp_path / "codebook", encoding="utf-8") as f:
-        code, _ = codec.load_codebook(f)
+    code, _ = codec.load_codebook((tmp_path / "codebook").read_text(encoding="utf-8"))
     cli_to("alice.pool", "keygen", "64", "--rng", "seeded:9", "--insecure-test",
            "--out", "/dev/stdout")
     alice = keystore.KeyPool.load(tmp_path / "alice.pool")
@@ -466,14 +502,13 @@ WRITING_CALLS = {
 
 def check_written_output(tmp_path, command, out):
     """The file a WRITING_CALLS command wrote to `out` loads as what it is."""
-    with open(tmp_path / "codebook", encoding="utf-8") as f:
-        code, _ = codec.load_codebook(f)
+    code, _ = codec.load_codebook((tmp_path / "codebook").read_text(encoding="utf-8"))
     if command == "keygen":
         pool = keystore.KeyPool.load(out)
         assert (len(pool.material), pool.cursor) == (64, 0)
     elif command == "build-code":
         with open(out, encoding="utf-8") as f:
-            assert codec.load_codebook(f) == (code, "huffman")
+            assert codec.load_codebook(f.read()) == (code, "huffman")
     elif command == "encrypt":
         with open(out, "rb") as f:
             frame = cipher.read_frame(f.read(), code)
@@ -865,9 +900,10 @@ def test_a_cold_call_without_site_loads_no_pathlib(cold_call, command):
     # report takes its bounds from the codec the codebook names
     ["report", "--space", "space.txt", "--code", "codebook", "--kind", "trimmed"],
     ["audit", "--key", "k.pool", "extra"],
+    ["verify", "--space", "space.txt", "--code", "codebook", "--naive-leak-demo=1"],
 ], ids=["no-command", "unknown-command", "unknown-option", "abbreviation",
         "missing-required", "no-value", "keygen-not-an-int", "dropped-max-l-option",
-        "dropped-kind-option", "extra-positional"])
+        "dropped-kind-option", "extra-positional", "flag-given-a-value"])
 def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
@@ -1221,9 +1257,12 @@ def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     ["build-code", "--space", "space.txt", "--codec", "external:false", "--out", "out"],
     ["encrypt", "--code", "codebook", "--key", "k.pool", "--in", "msg", "--out", "missing/f"],
     ["encrypt", "--code", "codebook", "--key", "k.pool", "--in", "msg", "--out", "dir"],
+    ["keygen", "64", "--out", "new.pool", "--rng", "bogus:1", "--insecure-test"],
+    ["build-code", "--space", "space.txt", "--codec", "bogus", "--out", "out"],
 ], ids=["keygen-rng", "encrypt-rng", "build-code-space", "verify-space",
         "report-space", "encrypt-codebook", "external-exit-status",
-        "encrypt-out-in-missing-dir", "encrypt-out-is-a-dir"])
+        "encrypt-out-in-missing-dir", "encrypt-out-is-a-dir", "keygen-rng-kind",
+        "build-code-codec"])
 def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
@@ -1278,6 +1317,6 @@ def test_hostile_input_files_are_error_lines(tmp_path, monkeypatch, capsys, case
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"ERROR {name}:") and error in err
+    assert err.startswith(f"ERROR {name}:") and error in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "k.pool").read_bytes() == pool  # no key bit spent

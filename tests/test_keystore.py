@@ -28,6 +28,18 @@ def test_generate_pool_zero_bits():
         generate_pool(0, SeededRandomSource(1))
 
 
+def test_a_cursor_past_the_material_is_refused():
+    with pytest.raises(PoolFormatError, match="^cursor 9 outside pool of 8 bits$"):
+        KeyPool(BitString(0, 8), 9)
+
+
+def test_save_refuses_an_id_the_header_cannot_hold(tmp_path):
+    pool = KeyPool(BitString(0, 8), pool_id="x" * 256)
+    with pytest.raises(PoolFormatError, match="^pool id longer than 255 bytes$"):
+        pool.save(tmp_path / "k.pool")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_take_advances_disjoint_ranges():
     pool = KeyPool(BitString.from_str("10110100"), pool_id="t")
     first = pool.take(3)

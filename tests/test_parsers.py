@@ -106,12 +106,12 @@ def parse(name, blob, valid, path):
     if name == "space":
         cli.parse_space_file(read_as_cli(blob))
     elif name == "codebook":
-        codec.load_codebook(io.StringIO(read_as_cli(blob)))
+        codec.load_codebook(read_as_cli(blob))
     elif name == "pool":
         path.write_bytes(blob)
         keystore.KeyPool.load(path)
     else:
-        code, _ = codec.load_codebook(io.StringIO(read_as_cli(valid["codebook"])))
+        code, _ = codec.load_codebook(read_as_cli(valid["codebook"]))
         cipher.read_frame(blob, code)
 
 

@@ -4,7 +4,6 @@ that the equivalent dataclasses give."""
 
 import copy
 import pickle
-import zlib
 from fractions import Fraction
 
 import pytest
@@ -26,8 +25,6 @@ def records():
         (lambda: pc.PrefixCode({b"a": B(0, 1), b"b": B(1, 1)}),
          "PrefixCode(codebook={b'a': BitString(value=0, length=1), "
          "b'b': BitString(value=1, length=1)}, max_len=1)"),
-        (lambda: pc.ExternalCompressor(zlib.compress, "zlib"),
-         "ExternalCompressor(transform=<built-in function compress>, name='zlib')"),
         (lambda: Ciphertext(B(5, 3)),
          "Ciphertext(bits=BitString(value=5, length=3))"),
         (lambda: EncryptionRecord(Ciphertext(B(5, 3)), 1, "p0", 0, 1),

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import os
@@ -144,9 +143,7 @@ def test_oracle_requires_exact_probs():
 def test_report_text_output():
     report = pc.exact_secrecy_oracle(uniform_space(2),
                                      pc.PrefixCode({b"\x00": B("0"), b"\x01": B("1")}))
-    buf = io.StringIO()
-    report.write_text(buf)
-    text = buf.getvalue()
+    text = report.text()
     assert "verdict perfect" in text
     assert "max_deviation 0/1" in text
     assert "1/2" in text  # rationals serialized as num/den
@@ -187,9 +184,17 @@ def test_report_text_golden_naive_zero_probability():
     )
     sp = pc.MessageSpace([b"\x00", b"\x01", b"\x02"],
                          [Fraction(1), Fraction(0), Fraction(0)])
-    buf = io.StringIO()
-    pc.exact_secrecy_oracle(sp, uneven_code(), naive=True).write_text(buf)
-    assert buf.getvalue() == expected
+    assert pc.exact_secrecy_oracle(sp, uneven_code(), naive=True).text() == expected
+
+
+def test_posterior_of_a_ciphertext_that_has_zero_probability_is_refused():
+    # the golden case above: 00 is in the marginal table, at 0/1
+    sp = pc.MessageSpace([b"\x00", b"\x01", b"\x02"],
+                         [Fraction(1), Fraction(0), Fraction(0)])
+    report = pc.exact_secrecy_oracle(sp, uneven_code(), naive=True)
+    assert report.marginal[B("00")] == 0
+    with pytest.raises(ValueError, match="^ciphertext 00 has zero probability$"):
+        report.posterior(b"\x01", B("00"), Fraction(0))
 
 
 class FixedPad(pc.RandomSource):
@@ -509,6 +514,24 @@ def test_bound_report_flags_violation():
                               for i, m in enumerate(sp.messages)})
     rep = pc.bound_report(sp, wasteful, "huffman")
     assert not rep.ok
+
+
+def test_bound_report_flags_a_trimmed_average_past_h_plus_2():
+    sp = uniform_space(4)
+    wasteful = pc.PrefixCode({m: B("1" * i + "0000") for i, m in enumerate(sp.messages)})
+    rep = pc.bound_report(sp, wasteful, "trimmed")
+    assert rep.violations == ["average length 5.500000 exceeds h+2 = 4.000000",
+                              "max length 7 exceeds cap 3"]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda sp, code: pc.leak_mutual_information(sp, code, observable="x"),
+     "^unknown observable 'x'$"),
+    (lambda sp, code: pc.bound_report(sp, code, kind="x"), "^unknown code kind 'x'$"),
+], ids=["leak-observable", "bound-kind"])
+def test_an_unknown_name_is_refused(call, error):
+    with pytest.raises(ValueError, match=error):
+        call(uniform_space(3), uneven_code())
 
 
 def test_bound_report_uncovered_space():
