@@ -18,7 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BoundViolation, PadcryptError, cut
+from .errors import BoundViolation, PadcryptError
 
 # Each command imports the library modules it runs inside its own function,
 # so a cold call loads only those: `audit` never loads the codec, and only
@@ -28,8 +28,6 @@ if TYPE_CHECKING:
     from collections.abc import Callable
     from typing import TextIO
 
-    from fractions import Fraction
-
     from .codec import MessageSpace, PrefixCode
     from .keystore import KeyPool
 
@@ -38,57 +36,6 @@ KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_LEAKY = 3
-
-
-# --- input formats -------------------------------------------------------
-
-def parse_space_file(text: str) -> MessageSpace:
-    """Message-space definition: one `<message> <num/den>` pair per line.
-
-    A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
-    for the empty message.  Blank lines and `#` comments are skipped.
-    """
-    from .codec import MessageSpace
-
-    messages: list[bytes] = []
-    probs: list[Fraction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if line.startswith('"'):
-                import json  # only here: hex-only space files never load it
-
-                end = line.rindex('"')
-                msg = json.loads(line[:end + 1]).encode()
-                prob_token = line[end + 1:].strip()
-            else:
-                token, prob_token = line.split(None, 1)
-                msg = b"" if token == "-" else bytes.fromhex(token)
-            probs.append(_probability(prob_token.strip()))
-            messages.append(msg)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PadcryptError(f"space file line {lineno}: {cut(str(exc))}") from None
-    return MessageSpace(messages, probs)
-
-
-def _probability(token: str) -> Fraction:
-    """Fraction(token), refused before Fraction builds 10**|e| for an exponent
-    e past codec.MAX_Q_BITS plus the token's length: a value that is not 0
-    then exceeds 1 or has a denominator past the cap, so no space holds it."""
-    import re
-    from fractions import Fraction
-
-    from .codec import MAX_Q_BITS
-
-    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", token)
-    if exponent and abs(int(exponent[1])) > MAX_Q_BITS + len(token):
-        mantissa = token[:exponent.start()]
-        if any(map(int, filter(str.isdecimal, mantissa))):
-            raise ValueError(f"exponent out of range in {token!r}")
-        token = mantissa + "e0"  # its digits are all 0: so is its value
-    return Fraction(token)
 
 
 def _read(path: str, mode: str = "r") -> "str | bytes":
@@ -202,18 +149,12 @@ def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
     from ._files import write_file
 
-    space = parse_space_file(_read(args.space))
+    space = codec.load_space(_read(args.space))
     code, name = _build_code(space, args.codec)
     _write_then_say(args.out, lambda: write_file(
         args.out, lambda: codec.save_codebook(code, name).encode()),
         f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")
     return EXIT_OK
-
-
-def _load_code(path: str) -> tuple[PrefixCode, str]:
-    from . import codec
-
-    return codec.load_codebook(_read(path))
 
 
 def _load_pool(args: SimpleNamespace) -> KeyPool:
@@ -228,14 +169,14 @@ def _load_pool(args: SimpleNamespace) -> KeyPool:
 
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
-    from . import cipher
+    from . import cipher, codec
     from ._files import write_file
     from .rng import OsRandomSource
 
     # always the OS source: a seeded pad would take one fixed value for each
     # codeword length, so the frame would show that length
     rng = OsRandomSource()
-    code, _ = _load_code(args.code)
+    code, _ = codec.load_codebook(_read(args.code))
     pool = _load_pool(args)
     message = _read(args.infile, "rb")
     # --out is opened before encrypt takes a key bit, so an unwritable path
@@ -248,10 +189,10 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
 
 
 def cmd_decrypt(args: SimpleNamespace) -> int:
-    from . import cipher
+    from . import cipher, codec
     from ._files import write_file
 
-    code, _ = _load_code(args.code)
+    code, _ = codec.load_codebook(_read(args.code))
     pool = _load_pool(args)
     ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
     _write_then_say(args.out, lambda: write_file(
@@ -261,10 +202,10 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    from . import verify
+    from . import codec, verify
 
-    space = parse_space_file(_read(args.space))
-    code, _ = _load_code(args.code)
+    space = codec.load_space(_read(args.space))
+    code, _ = codec.load_codebook(_read(args.code))
     if args.naive_leak_demo:
         print("WARNING: naive mode omits the random padding and is NOT secure;"
               " it exists only to demonstrate the length leak.", file=sys.stderr)
@@ -286,10 +227,10 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_report(args: SimpleNamespace) -> int:
-    from . import verify
+    from . import codec, verify
 
-    space = parse_space_file(_read(args.space))
-    code, name = _load_code(args.code)
+    space = codec.load_space(_read(args.space))
+    code, name = codec.load_codebook(_read(args.code))
     kind = {"huffman": "huffman", "trimmed-huffman": "trimmed"}.get(name, "generic")
     rep = verify.bound_report(space, code, kind)
     leak = verify.leak_mutual_information(space, code)

@@ -3,13 +3,11 @@
 Builds Huffman codes from a known distribution, the trimmed transform that
 caps codeword length at ceil(log2 L) + 1, and an adapter that turns any
 deterministic external compressor into a prefix-free code by gamma-framing
-its outputs.
+its outputs.  Parses both input files, space files and codebooks, and
+writes codebooks.
 """
 
 from __future__ import annotations
-
-import heapq
-from collections import Counter
 
 from ._record import Record
 from .bits import BitString, elias_gamma
@@ -22,6 +20,7 @@ from .errors import (
     NondeterministicCompressor,
     NotACodeword,
     NotInCodebook,
+    PadcryptError,
     cut,
 )
 
@@ -32,6 +31,7 @@ if TYPE_CHECKING:
 
 PROB_SUM_TOL = 1e-9
 MAX_Q_BITS = 2 ** 15  # cap on an exact space's _q, which each of its weights can reach
+MAX_DIGITS = 4300  # longest number a space file holds: sys.int_info.default_max_str_digits
 
 
 class MessageSpace(Record):
@@ -56,7 +56,10 @@ class MessageSpace(Record):
         import math
         from fractions import Fraction
 
-        messages = tuple(bytes(m) for m in messages)
+        try:
+            messages = tuple(bytes(memoryview(m)) for m in messages)
+        except TypeError:
+            raise InvalidSpace("a message is not a bytes-like object") from None
         probs = tuple(probs)
         if not messages:
             raise InvalidSpace("message space is empty")
@@ -105,9 +108,12 @@ def _shown(total: Fraction | float) -> str:
             or total.numerator.bit_length() + total.denominator.bit_length() <= 256):
         return str(total)
     try:
-        return f"about {total.numerator / total.denominator:.6g}"
+        shown = f"{total.numerator / total.denominator:.6g}"
     except OverflowError:
         return "more than 1e308"
+    if shown == "1":  # the total is not 1: say which side of it
+        return "just over 1" if total > 1 else "just under 1"
+    return f"about {shown}"
 
 
 class PrefixCode(Record):
@@ -150,6 +156,8 @@ def build_huffman(space: MessageSpace) -> PrefixCode:
     An exact space merges its integer weights, which order and tie exactly
     as its probabilities do; a float space merges its float probabilities.
     """
+    import heapq  # here, not at import: `encrypt` and `decrypt` build no code
+
     L = len(space)
     if L == 1:
         # degenerate space still needs a nonempty codeword
@@ -225,10 +233,10 @@ def wrap_external(compress: Callable[[bytes], "bytes | BitString"], space: Messa
     runs twice on each message; name stands for it in error texts.
 
     Each output is framed as gamma(bit length) || bits, which is prefix-free
-    whenever outputs differ; identical outputs get a fixed-width message
-    index appended to restore injectivity.
+    whenever outputs differ; a compressor that gives two messages one output
+    is refused.
     """
-    frames: list[BitString] = []
+    codebook: dict[bytes, BitString] = {}
     for m in space.messages:
         out = compress(m)
         if out != compress(m):
@@ -238,20 +246,18 @@ def wrap_external(compress: Callable[[bytes], "bytes | BitString"], space: Messa
             out = BitString.from_bytes(bytes(out))
         if len(out) == 0:
             raise EmptyCompressorOutput(f"{name} produced no output for {cut(repr(m))}")
-        frames.append(elias_gamma(len(out)) + out)
-
-    # gamma framing leaves only exact-equality collisions possible
-    seen = Counter(frames)
-    width = (len(space) - 1).bit_length()
-    return PrefixCode({m: f + BitString(i, width) if seen[f] > 1 else f
-                       for i, (m, f) in enumerate(zip(space.messages, frames))})
+        codebook[m] = elias_gamma(len(out)) + out
+    try:
+        return PrefixCode(codebook)
+    except InvalidCode:  # gamma framing leaves only equal outputs to refuse
+        raise InvalidCode(f"{name} gave two messages the same output") from None
 
 
 # --- encode / decode -----------------------------------------------------
 
 def encode(code: PrefixCode, m: bytes) -> BitString:
     try:
-        return code.codebook[bytes(m)]
+        return code.codebook[bytes(memoryview(m))]
     except KeyError:
         # names no message: `encrypt` prints this, and a plaintext is no error text
         raise NotInCodebook("the message has no codeword") from None
@@ -268,6 +274,58 @@ def decode_prefix(code: PrefixCode, stream: BitString) -> tuple[bytes, int]:
             return m, n
     # names no stream bit: in `decrypt` the stream is the codeword and pad
     raise NotACodeword("no codeword prefixes the stream")
+
+
+# --- space file format ---------------------------------------------------
+
+def load_space(text: str) -> MessageSpace:
+    """Parse a space file's text: one `<message> <num/den>` pair per line.
+
+    A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
+    for the empty message.  Blank lines and `#` comments are skipped.
+    """
+    messages: list[bytes] = []
+    probs: list[Fraction] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if line.startswith('"'):
+                import json  # only here: hex-only space files never load it
+
+                end = line.rindex('"')
+                msg = json.loads(line[:end + 1]).encode()
+                prob_token = line[end + 1:].strip()
+            else:
+                token, prob_token = line.split(None, 1)
+                msg = b"" if token == "-" else bytes.fromhex(token)
+            probs.append(_probability(prob_token.strip()))
+            messages.append(msg)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PadcryptError(f"space file line {lineno}: {cut(str(exc))}") from None
+    return MessageSpace(messages, probs)
+
+
+def _probability(token: str) -> Fraction:
+    """Fraction(token), refused before Fraction converts a run of more than
+    MAX_DIGITS digits (with the interpreter's limit on int() of a string off,
+    a long run takes seconds), or builds 10**|e| for an exponent e past
+    MAX_Q_BITS plus the token's length: a value that is not 0 then exceeds 1
+    or has a denominator past the cap, so no space holds it."""
+    import re
+    from fractions import Fraction
+
+    # a run starts after no digit or `_`, so each is scanned once
+    if re.search(r"(?<![\d_])\d(?:_*\d){%d}" % MAX_DIGITS, token):
+        raise ValueError(f"a number of more than {MAX_DIGITS} digits in {token!r}")
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", token)
+    if exponent and abs(int(exponent[1])) > MAX_Q_BITS + len(token):
+        mantissa = token[:exponent.start()]
+        if any(map(int, filter(str.isdecimal, mantissa))):
+            raise ValueError(f"exponent out of range in {token!r}")
+        token = mantissa + "e0"  # its digits are all 0: so is its value
+    return Fraction(token)
 
 
 # --- codebook file format ------------------------------------------------

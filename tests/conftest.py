@@ -65,6 +65,16 @@ def tied_exact_space(rng: random.Random, L: int) -> MessageSpace:
     return MessageSpace([bytes([i]) for i in range(L)], [p / total for p in parts])
 
 
+# a space file of four messages, in each message form a space file takes
+SPACE_4 = """\
+# four messages, uniform
+"alpha" 1/4
+"beta"  1/4
+00ff    1/4
+-       1/4
+"""
+
+
 # --- hostile and truncated input files -----------------------------------
 
 # codebook files that load_codebook must refuse, each with its error text

@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -22,10 +23,12 @@ from padcrypt.errors import (
     NondeterministicCompressor,
     NotACodeword,
     NotInCodebook,
+    PadcryptError,
 )
 
 from conftest import (
     HOSTILE_CODEBOOKS,
+    SPACE_4,
     brute_force_optimal_average,
     kraft_sum,
     large_prime_space_file,
@@ -71,6 +74,26 @@ def test_space_rejects_bad_sum():
         pc.MessageSpace([b"a", b"b"], [math.nan, 1.0])
     with pytest.raises(InvalidSpace):
         pc.MessageSpace([b"a", b"b"], [math.nan, math.nan])
+
+
+@pytest.mark.parametrize("message", [3, True, [97], "a", None],
+                         ids=["int", "bool", "list", "str", "None"])
+def test_a_message_must_be_bytes_like(message):
+    with pytest.raises(InvalidSpace, match="^a message is not a bytes-like object$"):
+        pc.MessageSpace([message, b"b"], [Fraction(1, 2)] * 2)
+    code = pc.build_huffman(pc.MessageSpace([b"\x00", b"a"], [Fraction(1, 2)] * 2))
+    with pytest.raises(TypeError):
+        pc.encode(code, message)
+
+
+def test_a_message_may_be_any_bytes_like_object():
+    import array
+    sp = pc.MessageSpace([bytearray(b"a"), memoryview(b"bc"), array.array("B", b"d")],
+                         [Fraction(1, 3)] * 3)
+    assert sp.messages == (b"a", b"bc", b"d")
+    code = pc.build_huffman(sp)
+    for m in (bytearray(b"a"), memoryview(b"bc"), array.array("B", b"d")):
+        assert pc.encode(code, m) == code.codebook[bytes(m)]
 
 
 def test_space_accepts_float_within_tolerance():
@@ -287,11 +310,10 @@ def test_wrap_identity_one_bit():
     assert code.max_len == 2
 
 
-def test_wrap_collision_gets_disambiguated():
-    sp = pc.MessageSpace([b"a", b"b"], [Fraction(1, 2), Fraction(1, 2)])
-    code = pc.wrap_external(lambda m: b"\xff", sp, "constant")
-    words = list(code.codebook.values())
-    assert words[0] != words[1]
+def test_wrap_collision_is_refused():
+    sp = pc.MessageSpace([b"ab", b"ac", b"b"], [Fraction(1, 3)] * 3)
+    with pytest.raises(InvalidCode, match="^first-byte gave two messages the same output$"):
+        pc.wrap_external(lambda m: m[:1], sp, "first-byte")
 
 
 def test_wrap_gamma_header_lengths():
@@ -417,7 +439,8 @@ def test_decode_prefix_matches_bit_by_bit_reference(seeded):
         codes += [huffman, pc.trim_code(huffman, sp), relabel(huffman, seeded)]
     sp = uniform_space_named([b"aaaaaaaaaaaa", b"hello world", b"x" * 40, b"q", b""])
     codes.append(pc.wrap_external(lambda m: zlib.compress(m, 9), sp, "zlib-9"))
-    codes.append(pc.wrap_external(lambda m: bytes([len(m) % 3]), sp, "collide"))
+    # outputs of 1 to 3 bytes, told apart by their first byte
+    codes.append(pc.wrap_external(lambda m: bytes([len(m)]) * (len(m) % 3 + 1), sp, "length"))
 
     for code in codes:
         l = code.max_len
@@ -523,6 +546,90 @@ def test_max_codeword_length():
     assert pc.PrefixCode({b"m": B("0")}).max_len == 1
 
 
+# --- space file format ---------------------------------------------------
+
+def test_load_space():
+    sp = pc.load_space(SPACE_4)
+    assert sp.messages == (b"alpha", b"beta", b"\x00\xff", b"")
+    assert sp.probs == (Fraction(1, 4),) * 4
+    assert sp.is_exact
+
+
+def test_load_space_bad_line():
+    with pytest.raises(PadcryptError):
+        pc.load_space('"unterminated 1/2\n')
+    with pytest.raises(PadcryptError):
+        pc.load_space("zz 1/2\nff 1/2\n")  # zz is not hex
+
+
+def test_a_probability_near_the_cap_still_loads():
+    # 1e-9000 has a denominator of 29,898 bits, under the cap; 1 - 1e-9000 is
+    # split into tokens of at most 4,000 digits, which int() reads under the
+    # interpreter's default limit
+    space = pc.load_space("".join([
+        "61 1e-9000\n",
+        f"62 {'9' * 4000}e-4000\n",
+        f"63 {'9' * 4000}e-8000\n",
+        f"64 {'9' * 1000}e-9000\n",
+    ]))
+    assert space.probs[0] == Fraction(1, 10 ** 9000)
+    assert space._q == 10 ** 9000
+    # a mantissa of zeros is 0 at any exponent
+    for token in ("0e-1000000", "-0.00e+1_000_000"):
+        assert pc.load_space(f"61 {token}\n62 1\n").probs == (0, 1)
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_limit(request):
+    """Runs a test under the interpreter's default limit on int() of a
+    string, and with that limit off, as PYTHONINTMAXSTRDIGITS=0 sets it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(
+        sys.int_info.default_max_str_digits if request.param == "default" else 0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("token", [
+    "1/" + "7" * 4301, "1/" + "7" * 10 ** 5, "1/" + "7" * 3 * 10 ** 5,
+    "0." + "1" * 4301, "7" * 4301 + "/7", "1/" + "7_" * 4300 + "7", "1e-" + "1" * 4301,
+], ids=["den-4301", "den-1e5", "den-3e5", "decimal-4301", "num-4301", "underscores-4301",
+        "exponent-4301"])
+def test_a_number_past_4300_digits_is_a_line_error_whatever_the_int_limit(int_limit, token):
+    # with the limit off, Fraction would convert the digits (0.85 s for the
+    # 300,000 of den-3e5 on Python 3.11) and the space would fail on its sum
+    with pytest.raises(PadcryptError) as exc:
+        pc.load_space(f"61 {token}\n62 1\n")
+    assert type(exc.value) is PadcryptError
+    refusal = f"a number of more than 4300 digits in {token!r}"
+    assert str(exc.value) == f"space file line 1: {refusal[:60]}..."
+
+
+def test_a_number_of_4300_digits_loads_whatever_the_int_limit(int_limit):
+    den = 10 ** 4299
+    space = pc.load_space(f"61 1/{den}\n62 {den - 1}/{den}\n63 0.{'0' * 4300}\n")
+    assert space.probs == (Fraction(1, den), Fraction(den - 1, den), 0)
+
+
+@pytest.mark.parametrize("numbers", [["12"] * 333_000, ["7" * 4300] * 232],
+                         ids=["short-numbers", "numbers-of-4300-digits"])
+def test_the_digit_bound_costs_time_and_memory_linear_in_a_line(numbers):
+    # a 1 MB line, all one probability token: a bound that listed every
+    # digit run peaked at about 20 MB on the short numbers, and one that
+    # scanned a run from each of its digits took a minute on the long ones
+    text = "61 " + " ".join(numbers) + "\n"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(PadcryptError, match="^space file line 1: Invalid literal"):
+            pc.load_space(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak <= 8 * len(text)
+
+
 # --- codebook file format -------------------------------------------------
 
 def test_codebook_roundtrip():
@@ -610,7 +717,7 @@ PACKAGE_EXPORTS = {
     "cipher": ["Ciphertext", "EncryptionRecord", "decrypt", "encrypt", "key_cost",
                "read_frame", "write_frame"],
     "codec": ["MessageSpace", "PrefixCode", "build_huffman", "decode_prefix", "encode",
-              "load_codebook", "save_codebook", "trim_code", "wrap_external"],
+              "load_codebook", "load_space", "save_codebook", "trim_code", "wrap_external"],
     "errors": ["BoundViolation", "CodebookFormatError", "DecryptionFailed",
                "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
                "InvalidLength", "InvalidSpace", "KeyExhausted",

@@ -104,7 +104,7 @@ def read_as_cli(blob):
 
 def parse(name, blob, valid, path):
     if name == "space":
-        cli.parse_space_file(read_as_cli(blob))
+        codec.load_space(read_as_cli(blob))
     elif name == "codebook":
         codec.load_codebook(read_as_cli(blob))
     elif name == "pool":
