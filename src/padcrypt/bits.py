@@ -62,7 +62,9 @@ class BitString(Record):
         return (self.value >> (self.length - 1 - i)) & 1
 
     def __str__(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
+        # a leading 1 above the top bit keeps the zeros: "0b1" + the bits,
+        # and "" for the empty word, without a format spec or a branch
+        return bin(self.value | 1 << self.length)[3:]
 
     # --- operations ---
 

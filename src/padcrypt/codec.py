@@ -137,7 +137,7 @@ class PrefixCode(Record):
             raise InvalidCode("codebook is not injective")
         # as sorted 0/1 strings, a word is a prefix of some other word exactly
         # when it is a prefix of the word right after it
-        words = sorted([bin(v | 1 << n)[3:] for n, v in table])
+        words = sorted(map(str, codebook.values()))
         if any(map(str.startswith, words[1:], words)):
             raise InvalidCode("codeword set is not prefix-free")
         lengths = tuple(sorted({n for n, _ in table}))
@@ -282,11 +282,13 @@ def load_space(text: str) -> MessageSpace:
     """Parse a space file's text: one `<message> <num/den>` pair per line.
 
     A message is either a JSON-quoted UTF-8 string, a hex string, or `-`
-    for the empty message.  Blank lines and `#` comments are skipped.
+    for the empty message.  Blank lines and `#` comments are skipped.  A
+    line ends at a newline only, as in a codebook, and is stripped, so CRLF
+    endings load and a quoted message may hold any other line separator.
     """
     messages: list[bytes] = []
     probs: list[Fraction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -254,7 +254,10 @@ def empirical_uniformity(space: MessageSpace, code: PrefixCode,
         raise ValueError("negative trial count")
     l = _within_budget(code, _CHI_SQUARE_MAX_L)
 
-    bounds = list(itertools.accumulate(float(p) for p in space.probs))
+    # w / q is float(Fraction(w, q)), one correctly rounded quotient; float()
+    # turns a Fraction weight of a mixed space (q is 0) into its float
+    q = space._q or 1
+    bounds = list(itertools.accumulate(float(w / q) for w in space._weights))
     last = len(bounds) - 1
 
     counts = [0] * (2 ** l)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -91,6 +92,23 @@ def test_bits_roundtrip(bits):
     assert list(b) == bits
     assert BitString.from_str(str(b)) == b
     assert BitString.from_bytes(b.to_bytes(), len(b)) == b
+
+
+def format_reference(v: int, n: int) -> str:
+    return format(v, f"0{n}b") if n else ""
+
+
+@given(st.data())
+def test_str_is_the_zero_padded_binary_of_value(data):
+    n = data.draw(st.integers(0, 300))
+    v = data.draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+    assert str(BitString(v, n)) == format_reference(v, n)
+
+
+def test_str_of_a_long_word():
+    v = random.Random(200_000).getrandbits(200_000)
+    assert str(BitString(v, 200_000)) == format_reference(v, 200_000)
+    assert BitString.from_str(str(BitString(v, 200_000))).value == v
 
 
 def test_gamma_known_values():

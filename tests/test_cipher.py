@@ -202,6 +202,18 @@ def test_code_fingerprint_is_pinned_and_order_free():
     assert blob[:17] == b"PCWF\x01" + pinned + (2).to_bytes(4, "big")
 
 
+def test_code_fingerprint_of_a_long_varied_code_is_pinned():
+    # 256 Zipf-weighted messages: 9 distinct lengths up to l = 11, so a
+    # change in how long words with leading zeros are rendered shows here
+    weights = [10 ** 6 // (i + 1) for i in range(256)]
+    total = sum(weights)
+    space = pc.MessageSpace([b"m%03d" % i for i in range(256)],
+                            [Fraction(w, total) for w in weights])
+    code = pc.build_huffman(space)
+    assert (code.max_len, len(set(map(len, code.codebook.values())))) == (11, 9)
+    assert code_fingerprint(code) == bytes.fromhex("e3b407a96c0f15a4")
+
+
 def test_code_fingerprint_falls_back_to_hashlib(monkeypatch):
     # an interpreter built without the small SHA-256 modules gets the same bytes
     monkeypatch.setitem(sys.modules, "_sha256", None)  # None makes the import fail

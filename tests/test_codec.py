@@ -562,6 +562,17 @@ def test_load_space_bad_line():
         pc.load_space("zz 1/2\nff 1/2\n")  # zz is not hex
 
 
+def test_a_space_line_ends_at_a_newline_only():
+    # str.splitlines would also end a line at U+2028, U+2029, U+0085, \x0b,
+    # \x0c and \x1c-\x1e, cutting a quoted message in two
+    sp = pc.load_space('"a\u2028b" 1/2\r\n"c\u2029d\u0085" 1/2\n')
+    assert sp.messages == ("a\u2028b".encode(), "c\u2029d\u0085".encode())
+    assert sp.probs == (Fraction(1, 2), Fraction(1, 2))
+    # so the separators start no line of their own: the bad line is line 2
+    with pytest.raises(PadcryptError, match="^space file line 2: "):
+        pc.load_space("61 1/2\x0c\x1c\x1d\x1e\u2028\n62 x\n")
+
+
 def test_a_probability_near_the_cap_still_loads():
     # 1e-9000 has a denominator of 29,898 bits, under the cap; 1 - 1e-9000 is
     # split into tokens of at most 4,000 digits, which int() reads under the
