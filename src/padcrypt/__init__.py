@@ -4,31 +4,12 @@ Messages are compressed by a prefix-free code, XORed with one-time-pad key
 bits, and padded with fresh random bits to the code's fixed public length,
 so every ciphertext is the same size and perfectly secret.
 
-The errors are imported here; every other name loads its module on first
-access (PEP 562), so a command that never touches, say, the verifier never
-pays for importing it.
+`import padcrypt` loads no submodule: every name, the errors included,
+loads its module on first access (PEP 562), so a command that never
+touches, say, the verifier never pays for importing it.
 """
 
 from importlib import import_module
-
-from .errors import (
-    BoundViolation,
-    CodebookFormatError,
-    DecryptionFailed,
-    DegenerateSpace,
-    EmptyCompressorOutput,
-    EnumerationTooLarge,
-    InvalidCode,
-    InvalidLength,
-    InvalidSpace,
-    KeyExhausted,
-    NondeterministicCompressor,
-    NotACodeword,
-    NotInCodebook,
-    PadcryptError,
-    PoolFormatError,
-    WireFormatError,
-)
 
 # exported name -> the submodule that defines it
 _HOMES = {
@@ -38,6 +19,11 @@ _HOMES = {
     **dict.fromkeys(["MessageSpace", "PrefixCode", "build_huffman", "decode_prefix",
                      "encode", "load_codebook", "load_space", "save_codebook",
                      "trim_code", "wrap_external"], "codec"),
+    **dict.fromkeys(["BoundViolation", "CodebookFormatError", "DecryptionFailed",
+                     "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge",
+                     "InvalidCode", "InvalidLength", "InvalidSpace", "KeyExhausted",
+                     "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
+                     "PadcryptError", "PoolFormatError", "WireFormatError"], "errors"),
     **dict.fromkeys(["KeyPool", "generate_pool"], "keystore"),
     **dict.fromkeys(["OsRandomSource", "RandomSource", "SeededRandomSource"], "rng"),
     **dict.fromkeys(["BoundReport", "LeakReport", "SecrecyReport",
@@ -46,14 +32,7 @@ _HOMES = {
                      "leak_mutual_information", "shannon_entropy"], "verify"),
 }
 
-__all__ = [
-    "BoundViolation", "CodebookFormatError", "DecryptionFailed",
-    "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
-    "InvalidLength", "InvalidSpace", "KeyExhausted",
-    "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
-    "PadcryptError", "PoolFormatError", "WireFormatError",
-    *_HOMES,
-]
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
 

@@ -132,16 +132,16 @@ def cmd_keygen(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _build_code(space: MessageSpace, choice: str) -> tuple[PrefixCode, str]:
+def _build_code(space: MessageSpace, choice: str) -> PrefixCode:
     from . import codec
 
     if choice == "huffman":
-        return codec.build_huffman(space), "huffman"
+        return codec.build_huffman(space)
     if choice == "trimmed-huffman":
-        return codec.trim_code(codec.build_huffman(space), space), "trimmed-huffman"
+        return codec.trim_code(codec.build_huffman(space), space)
     if choice.startswith("external:"):
         command = choice.split(":", 1)[1]
-        return codec.wrap_external(shell_compressor(command), space, command), "external"
+        return codec.wrap_external(shell_compressor(command), space, command)
     raise PadcryptError(f"unknown codec {choice!r}")
 
 
@@ -150,7 +150,8 @@ def cmd_build_code(args: SimpleNamespace) -> int:
     from ._files import write_file
 
     space = codec.load_space(_read(args.space))
-    code, name = _build_code(space, args.codec)
+    code = _build_code(space, args.codec)
+    name = args.codec.partition(":")[0]
     _write_then_say(args.out, lambda: write_file(
         args.out, lambda: codec.save_codebook(code, name).encode()),
         f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")

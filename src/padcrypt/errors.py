@@ -48,7 +48,7 @@ class CodebookFormatError(PadcryptError):
 # --- keystore ------------------------------------------------------------
 
 class InvalidLength(PadcryptError):
-    """Requested a key pool of zero bits."""
+    """Requested a key pool of fewer than 1 bit, or of 2^64 bits or more."""
 
 
 class KeyExhausted(PadcryptError):

@@ -150,6 +150,15 @@ def seeded():
     return random.Random(0xC0DE)
 
 
+@pytest.fixture(autouse=True)
+def no_key_dir(monkeypatch):
+    """Runs every test without `PADCRYPT_KEY_DIR`, whatever the shell sets,
+    so a pool path resolves against the test's own directory; a test that
+    needs the key directory sets it, and the subprocesses it starts inherit
+    either."""
+    monkeypatch.delenv("PADCRYPT_KEY_DIR", raising=False)
+
+
 # the temp file `padcrypt._files.write_file` writes beside its target
 WRITE_FILE_TEMP = re.compile(r"\..+\.[0-9a-f]{16}\.tmp")
 

@@ -53,7 +53,6 @@ def test_the_cli_session_calls_run_as_the_benchmark_expects(tmp_path, monkeypatc
     # benchmark passes fails here too
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     import workloads
 
     counts = workloads.zipf_counts(workloads.CLI_ZIPF_L)

@@ -11,6 +11,7 @@ from padcrypt.errors import (
     DecryptionFailed,
     KeyExhausted,
     NotInCodebook,
+    PadcryptError,
     WireFormatError,
 )
 
@@ -160,6 +161,54 @@ def test_roundtrip_synchronized_pools(seeded):
         assert rec.key_bits_used == len(code.codebook[m])
         assert pc.decrypt(rec.ciphertext, code, receiver) == m
         assert receiver.cursor == sender.cursor
+
+
+def readme_code():
+    # the README's code: yes -> 1 bit, no and maybe -> 2 bits, l = 2
+    return pc.build_huffman(pc.MessageSpace(
+        [b"yes", b"no", b"maybe"], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]))
+
+
+def spend(ledger, frame, start, end):
+    """Records in `ledger` (key-bit index -> frames) that `frame` spent the
+    pool's bits start..end."""
+    for index in range(start, end):
+        ledger.setdefault(index, set()).add(frame)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+def test_two_way_traffic_on_copied_pools_never_pads_two_frames_with_one_bit():
+    code, rng = readme_code(), pc.SeededRandomSource(7)
+    alice = pc.generate_pool(64, pc.SeededRandomSource(1))
+    bob = pc.KeyPool(alice.material, alice.cursor, alice.pool_id)
+    ledger = {}
+    sent = pc.encrypt(b"yes", code, alice, rng)
+    spend(ledger, "A1", sent.cursor_start, sent.cursor_end)
+    start = bob.cursor
+    assert pc.decrypt(sent.ciphertext, code, bob) == b"yes"
+    spend(ledger, "A1", start, bob.cursor)
+    reply = pc.encrypt(b"no", code, bob, rng)
+    spend(ledger, "B1", reply.cursor_start, reply.cursor_end)
+    sent = pc.encrypt(b"maybe", code, alice, rng)
+    spend(ledger, "A2", sent.cursor_start, sent.cursor_end)
+    assert {i: frames for i, frames in ledger.items() if len(frames) > 1} == {}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+def test_after_a_lost_frame_the_next_decrypt_never_returns_a_wrong_message():
+    code = readme_code()
+    for seed in range(1, 6):
+        alice = pc.generate_pool(64, pc.SeededRandomSource(seed))
+        bob = pc.KeyPool(alice.material, alice.cursor, alice.pool_id)
+        rng = pc.SeededRandomSource(100 + seed)
+        pc.encrypt(b"yes", code, alice, rng)  # this frame is lost
+        sent = pc.encrypt(b"maybe", code, alice, rng)
+        try:
+            got = pc.decrypt(sent.ciphertext, code, bob)
+        except PadcryptError:
+            assert bob.cursor == 0, seed
+        else:
+            assert got == b"maybe", seed
 
 
 def test_key_cost():

@@ -160,7 +160,6 @@ def test_stdout_does_not_depend_on_the_message(tmp_path, monkeypatch, capsys):
     # s or a cursor delta, or refusing only the longer word, would tell them
     # apart.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_122)
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
     code, _ = codec.load_codebook((tmp_path / "codebook").read_text(encoding="utf-8"))
@@ -214,7 +213,6 @@ def test_a_failed_decrypt_spends_no_key(tmp_path, monkeypatch, capsys):
     # the receiver's cursor moves, and a retry of the same frame decodes to
     # another message with exit 0
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_122)
     (tmp_path / "dir").mkdir()
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
@@ -245,7 +243,6 @@ def test_out_that_names_the_key_pool_is_refused(tmp_path, monkeypatch, capsys, c
     # the output would replace the pool and every unspent bit in it: the call
     # is refused before the pool is loaded, however --out reaches the pool
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_122)
     (tmp_path / "keys").mkdir()
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
@@ -282,7 +279,6 @@ def test_out_that_is_a_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
     # a FIFO, or a device such as /dev/null, is opened and written as it is:
     # renaming a temp file over it would turn it into a regular file
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4)
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
@@ -314,7 +310,6 @@ def test_out_is_created_0600_and_an_existing_one_keeps_its_mode(
     # frames and plaintexts are created 0600, as pools are; a file that is
     # already there keeps the mode (and, for root, the owner) it had
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4)
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
@@ -405,7 +400,6 @@ def test_out_that_is_the_commands_own_stdout_gets_the_output_alone(tmp_path):
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop(cli.KEY_DIR_ENV, None)
 
     def cli_to(stdout, *argv):
         # stdout is a file in tmp_path, made 0644 as a shell would, or None
@@ -576,7 +570,6 @@ def writing_call(tmp_path, monkeypatch):
         the call with its descriptor 1 closed"""
         env = dict(os.environ, **env)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop(cli.KEY_DIR_ENV, None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         else:
@@ -674,7 +667,6 @@ def test_a_print_to_a_closed_pipe_is_an_error_line(tmp_path, monkeypatch, capsys
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop(cli.KEY_DIR_ENV, None)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -798,7 +790,6 @@ def cold_call(tmp_path, monkeypatch):
     """Runs one cold call of a COLD_CALLS command, after the files it reads
     are made, and returns the modules the call loaded."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4_HEX)
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
@@ -869,7 +860,6 @@ def test_a_cold_call_without_site_loads_no_pathlib(cold_call, command):
         "dropped-kind-option", "extra-positional", "flag-given-a-value"])
 def test_usage_errors_are_error_lines(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("ERROR PadcryptError:")
@@ -1062,7 +1052,6 @@ def test_an_encrypt_refusal_names_no_message(tmp_path, monkeypatch, capsys):
     # a message outside the codebook gets one fixed line, which shows neither
     # the plaintext nor its length, and spends no key
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4)
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
     assert main(["keygen", "64", "--out", "k.pool",
@@ -1241,7 +1230,6 @@ def test_pool_id_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
         "build-code-codec"])
 def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4)
     (tmp_path / "latin1.txt").write_bytes('"caf\xe9" 1/1\n'.encode("latin-1"))
     (tmp_path / "latin1.book").write_bytes(b"padcrypt-codebook 1 huffman 1\n0 ff \xe9\n")
@@ -1263,7 +1251,6 @@ def test_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
                                   "frame-version", "pool-too-short"])
 def test_hostile_input_files_are_error_lines(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.KEY_DIR_ENV, raising=False)
     write(tmp_path, "space.txt", SPACE_4)  # uniform: every codeword has l = 2 bits
     (tmp_path / "msg").write_bytes(b"alpha")
     assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0

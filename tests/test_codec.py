@@ -1,7 +1,9 @@
 import heapq
 import importlib
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -741,6 +743,21 @@ PACKAGE_EXPORTS = {
                "key_discipline_equivalence", "leak_mutual_information",
                "shannon_entropy"],
 }
+
+
+def test_import_padcrypt_loads_no_submodule():
+    # every exported name, the errors included, loads its module on first
+    # access; importlib is what the package itself imports, loaded first so
+    # that only the package counts, whatever start-up loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import importlib, sys; before = set(sys.modules); import padcrypt; "
+             "print(sorted(set(sys.modules) - before)); cls = padcrypt.KeyExhausted; "
+             "import padcrypt.errors; print(cls is padcrypt.errors.KeyExhausted)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, encoding="utf-8", check=True, timeout=60)
+    assert proc.stdout.splitlines() == ["['padcrypt']", "True"]
 
 
 def test_package_exports_resolve_to_their_home_modules():

@@ -25,7 +25,6 @@ def test_readme_cli_session_runs(tmp_path):
     src = str(Path(padcrypt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHON=sys.executable)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PADCRYPT_KEY_DIR", None)
     script = 'padcrypt() { "$PYTHON" -m padcrypt.cli "$@"; }\n' + session
     proc = subprocess.run(["bash", "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, encoding="utf-8", timeout=120)
