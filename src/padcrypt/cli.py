@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from collections.abc import Callable
     from typing import TextIO
 
-    from .codec import MessageSpace, PrefixCode
+    from .codec import PrefixCode
     from .keystore import KeyPool
 
 KEY_DIR_ENV = "PADCRYPT_KEY_DIR"
@@ -88,18 +88,6 @@ def resolve_key_path(path: str) -> str:
     return path
 
 
-def shell_compressor(command: str) -> Callable[[bytes], bytes]:
-    import subprocess
-
-    def run(data: bytes) -> bytes:
-        proc = subprocess.run(command, shell=True, input=data, capture_output=True)
-        if proc.returncode:
-            raise PadcryptError(
-                f"compressor {command!r} exited with status {proc.returncode}")
-        return proc.stdout
-    return run
-
-
 # --- subcommands ---------------------------------------------------------
 
 def cmd_keygen(args: SimpleNamespace) -> int:
@@ -132,73 +120,75 @@ def cmd_keygen(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _build_code(space: MessageSpace, choice: str) -> PrefixCode:
-    from . import codec
-
-    if choice == "huffman":
-        return codec.build_huffman(space)
-    if choice == "trimmed-huffman":
-        return codec.trim_code(codec.build_huffman(space), space)
-    if choice.startswith("external:"):
-        command = choice.split(":", 1)[1]
-        return codec.wrap_external(shell_compressor(command), space, command)
-    raise PadcryptError(f"unknown codec {choice!r}")
-
-
 def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
     from ._files import write_file
 
     space = codec.load_space(_read(args.space))
-    code = _build_code(space, args.codec)
-    name = args.codec.partition(":")[0]
+    name, colon, command = args.codec.partition(":")
+    if name == "external" and colon:
+        import subprocess  # only here: no other command runs one
+
+        def compress(data: bytes) -> bytes:
+            proc = subprocess.run(command, shell=True, input=data, capture_output=True)
+            if proc.returncode:
+                raise PadcryptError(
+                    f"compressor {command!r} exited with status {proc.returncode}")
+            return proc.stdout
+        code = codec.wrap_external(compress, space, command)
+    elif args.codec in ("huffman", "trimmed-huffman"):
+        code = codec.build_huffman(space)
+        if name == "trimmed-huffman":
+            code = codec.trim_code(code, space)
+    else:
+        raise PadcryptError(f"unknown codec {args.codec!r}")
     _write_then_say(args.out, lambda: write_file(
         args.out, lambda: codec.save_codebook(code, name).encode()),
         f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")
     return EXIT_OK
 
 
-def _load_pool(args: SimpleNamespace) -> KeyPool:
-    """The `--key` pool of encrypt or decrypt, refused if `--out` is the pool
-    file itself, which the output would replace, unspent key and all."""
-    from . import keystore
+def _load_inputs(args: SimpleNamespace) -> tuple[PrefixCode, KeyPool, bytes, str]:
+    """The codebook, pool and `--in` bytes of encrypt or decrypt, and its
+    status line, whose fields do not depend on the message (s or a cursor
+    delta would reveal |codeword|).  The pool is refused if `--out` is its
+    file, which the output would replace, unspent key and all."""
+    from . import codec, keystore
 
+    code, _ = codec.load_codebook(_read(args.code))
     path = resolve_key_path(args.key)
     if os.path.exists(args.out) and os.path.samefile(path, args.out):
         raise PadcryptError(f"{args.command}: --out names the --key pool {args.key}")
-    return keystore.KeyPool.load(path)
+    pool = keystore.KeyPool.load(path)
+    return code, pool, _read(args.infile, "rb"), (  # "encrypted" or "decrypted"
+        f"{args.command}ed: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
 
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
-    from . import cipher, codec
+    from . import cipher
     from ._files import write_file
     from .rng import OsRandomSource
 
+    code, pool, message, status = _load_inputs(args)
     # always the OS source: a seeded pad would take one fixed value for each
-    # codeword length, so the frame would show that length
+    # codeword length, so the frame would show that length; --out is opened
+    # before encrypt takes a key bit, so an unwritable path spends none
     rng = OsRandomSource()
-    code, _ = codec.load_codebook(_read(args.code))
-    pool = _load_pool(args)
-    message = _read(args.infile, "rb")
-    # --out is opened before encrypt takes a key bit, so an unwritable path
-    # spends none; the line has only message-independent fields, as s or a
-    # cursor delta would reveal |codeword|
     _write_then_say(args.out, lambda: write_file(args.out, lambda: cipher.write_frame(
-        cipher.encrypt(message, code, pool, rng), code, rng)),
-        f"encrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
+        cipher.encrypt(message, code, pool, rng), code, rng)), status)
     return EXIT_OK
 
 
 def cmd_decrypt(args: SimpleNamespace) -> int:
-    from . import cipher, codec
+    from . import cipher
     from ._files import write_file
 
-    code, _ = codec.load_codebook(_read(args.code))
-    pool = _load_pool(args)
-    ciphertext = cipher.read_frame(_read(args.infile, "rb"), code)
+    code, pool, blob, status = _load_inputs(args)
+    # parsed before --out is opened: a malformed frame leaves --out untouched,
+    # and a FIFO there, which the open would wait on, unopened
+    ciphertext = cipher.read_frame(blob, code)
     _write_then_say(args.out, lambda: write_file(
-        args.out, lambda: cipher.decrypt(ciphertext, code, pool)),
-        f"decrypted: l={code.max_len} bits (pool {pool.pool_id}) -> {args.out}")
+        args.out, lambda: cipher.decrypt(ciphertext, code, pool)), status)
     return EXIT_OK
 
 

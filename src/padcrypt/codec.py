@@ -68,7 +68,6 @@ class MessageSpace(Record):
         if len(probs) != len(messages):
             raise InvalidSpace("probs and messages differ in length")
         q = 0
-        weights = probs
         if all(isinstance(p, Fraction) for p in probs):
             q = 1
             for d in {p.denominator for p in probs}:
@@ -76,10 +75,14 @@ class MessageSpace(Record):
                 if q.bit_length() > MAX_Q_BITS:
                     raise InvalidSpace(
                         f"common denominator of the probabilities passes {MAX_Q_BITS} bits")
-            weights = tuple(p.numerator * (q // p.denominator) for p in probs)
-        if any(w < 0 for w in weights):
+        # an exact weight has its numerator's sign and can reach MAX_Q_BITS
+        # bits: all L are kept only once their sum, taken one at a time, is 1
+        def scaled():
+            return (p.numerator * (q // p.denominator) for p in probs)
+
+        if any((p.numerator if q else p) < 0 for p in probs):
             raise InvalidSpace("negative probability")
-        total = sum(weights)
+        total = sum(scaled() if q else probs)
         # a sum with no float in it is exact; q is 0 for ints, or ints and Fractions
         if isinstance(total, (int, Fraction)):
             if total != (q or 1):
@@ -89,7 +92,7 @@ class MessageSpace(Record):
             raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_weights", tuple(scaled()) if q else probs)
         object.__setattr__(self, "_q", q)
 
     def __len__(self) -> int:

@@ -305,6 +305,29 @@ def test_out_that_is_a_fifo_is_written_in_place(tmp_path, monkeypatch, capsys):
                                      "frame", "msg", "space.txt"])
 
 
+def test_a_malformed_frame_is_refused_before_a_fifo_out_is_opened(tmp_path):
+    # opening a FIFO to write waits for a reader: decrypt parses the frame
+    # before it opens --out, so with no reader it still exits at once
+    write(tmp_path, "space.txt", SPACE_4)
+    assert main(["build-code", "--space", str(tmp_path / "space.txt"),
+                 "--out", str(tmp_path / "codebook")]) == 0
+    assert main(["keygen", "64", "--out", str(tmp_path / "k.pool"),
+                 "--rng", "seeded:9", "--insecure-test"]) == 0
+    pool = (tmp_path / "k.pool").read_bytes()
+    (tmp_path / "frame").write_bytes(b"not a frame")
+    os.mkfifo(tmp_path / "fifo")
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "padcrypt.cli", "decrypt", "--code", "codebook",
+                           "--key", "k.pool", "--in", "frame", "--out", "fifo"],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"ERROR WireFormatError: not a ciphertext frame\n")
+    assert (tmp_path / "k.pool").read_bytes() == pool
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "fifo").st_mode)
+
+
 def test_out_is_created_0600_and_an_existing_one_keeps_its_mode(
         tmp_path, monkeypatch, capsys):
     # frames and plaintexts are created 0600, as pools are; a file that is
@@ -1095,11 +1118,17 @@ def test_a_long_token_from_a_file_is_cut_in_its_error_line(
     assert len(err) <= 200
 
 
-def test_a_space_past_the_denominator_cap_is_refused_in_memory_linear_in_its_file(
-        tmp_path, capsys):
+@pytest.mark.parametrize("count, refusal", [
     # 1/p for 4,000 primes: a common denominator of about 66,000 bits, which
     # with one such weight per message would take hundreds of times the file
-    text = large_prime_space_file(4000)
+    (4000, f"common denominator of the probabilities passes {MAX_Q_BITS} bits"),
+    # 1/p for 1,800 primes: a common denominator of about 30,600 bits, under
+    # the cap, so each of the 1,800 weights would take about 4 kB
+    (1800, "probabilities sum to about 0.0201501, expected 1"),
+], ids=["past-the-denominator-cap", "sum-not-1"])
+def test_a_bad_exact_space_is_refused_in_memory_linear_in_its_file(
+        tmp_path, capsys, count, refusal):
+    text = large_prime_space_file(count)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidSpace) as exc:
@@ -1107,7 +1136,6 @@ def test_a_space_past_the_denominator_cap_is_refused_in_memory_linear_in_its_fil
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    refusal = f"common denominator of the probabilities passes {MAX_Q_BITS} bits"
     assert str(exc.value) == refusal
     assert peak <= 24 * len(text)
     space = write(tmp_path, "space.txt", text)
