@@ -20,8 +20,8 @@ _HOMES = {
                      "encode", "load_codebook", "load_space", "save_codebook",
                      "trim_code", "wrap_external"], "codec"),
     **dict.fromkeys(["BoundViolation", "CodebookFormatError", "DecryptionFailed",
-                     "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge",
-                     "InvalidCode", "InvalidLength", "InvalidSpace", "KeyExhausted",
+                     "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
+                     "InvalidLength", "InvalidSpace", "KeyExhausted",
                      "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
                      "PadcryptError", "PoolFormatError", "WireFormatError"], "errors"),
     **dict.fromkeys(["KeyPool", "generate_pool"], "keystore"),

@@ -124,9 +124,12 @@ def cmd_build_code(args: SimpleNamespace) -> int:
     from . import codec
     from ._files import write_file
 
-    space = codec.load_space(_read(args.space))
     name, colon, command = args.codec.partition(":")
-    if name == "external" and colon:
+    # checked before the space file, which can take a while to read
+    if not (name == "external" and colon or args.codec in ("huffman", "trimmed-huffman")):
+        raise PadcryptError(f"unknown codec {args.codec!r}")
+    space = codec.load_space(_read(args.space))
+    if colon:
         import subprocess  # only here: no other command runs one
 
         def compress(data: bytes) -> bytes:
@@ -136,12 +139,10 @@ def cmd_build_code(args: SimpleNamespace) -> int:
                     f"compressor {command!r} exited with status {proc.returncode}")
             return proc.stdout
         code = codec.wrap_external(compress, space, command)
-    elif args.codec in ("huffman", "trimmed-huffman"):
+    else:
         code = codec.build_huffman(space)
         if name == "trimmed-huffman":
             code = codec.trim_code(code, space)
-    else:
-        raise PadcryptError(f"unknown codec {args.codec!r}")
     _write_then_say(args.out, lambda: write_file(
         args.out, lambda: codec.save_codebook(code, name).encode()),
         f"codebook {name}: {len(code.codebook)} messages, l={code.max_len} -> {args.out}")

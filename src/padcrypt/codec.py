@@ -13,7 +13,6 @@ from ._record import Record
 from .bits import BitString, elias_gamma
 from .errors import (
     CodebookFormatError,
-    DegenerateSpace,
     EmptyCompressorOutput,
     InvalidCode,
     InvalidSpace,
@@ -158,14 +157,11 @@ def build_huffman(space: MessageSpace) -> PrefixCode:
     codewords are assigned canonically, shortest first, then index order.
     An exact space merges its integer weights, which order and tie exactly
     as its probabilities do; a float space merges its float probabilities.
+    A lone message is the root, so it gets the empty word: l = 0.
     """
     import heapq  # here, not at import: `encrypt` and `decrypt` build no code
 
     L = len(space)
-    if L == 1:
-        # degenerate space still needs a nonempty codeword
-        return PrefixCode({space.messages[0]: BitString.from_str("0")})
-
     # merge queue entries: (weight, min message index, node); nodes 0..L-1
     # are the messages and node L + k is the k-th merge, so the root is the
     # last node and every parent comes after its children
@@ -211,8 +207,6 @@ def trim_code(code: PrefixCode, space: MessageSpace) -> PrefixCode:
     ceil(log2 L) bits.
     """
     L = len(space)
-    if L < 2:
-        raise DegenerateSpace("trimming needs at least 2 messages")
     if set(code.codebook) != set(space.messages):
         raise NotInCodebook("code does not cover exactly the space's messages")
     width = (L - 1).bit_length()  # ceil(log2 L)

@@ -17,10 +17,6 @@ class InvalidSpace(PadcryptError):
     """Message space is empty or its distribution is malformed."""
 
 
-class DegenerateSpace(PadcryptError):
-    """Operation requires at least two messages."""
-
-
 class NotInCodebook(PadcryptError):
     """Message has no codeword in the code in force."""
 

@@ -91,7 +91,7 @@ class SecrecyReport(Record):
         for name, dist in [("marginal", self.marginal), *(
                 (f"conditional {m.hex() or '-'}", t) for m, t in self.per_message_dists.items())]:
             lines.append(f"table {name}")
-            lines += (f"  {e} {dist[e].numerator}/{dist[e].denominator}"
+            lines += (f"  {str(e) or '-'} {dist[e].numerator}/{dist[e].denominator}"
                       for e in sorted(dist, key=str))
         return "".join(line + "\n" for line in lines)
 
@@ -330,13 +330,9 @@ def bound_report(space: MessageSpace, code: PrefixCode,
 
     violations: list[str] = []
     if kind == "huffman":
-        # a one-message space still gives its lone message a 1-bit word, so
-        # there the average may reach h + 1
-        lone = len(space) == 1
-        if not (h - 1e-9 <= avg and (avg <= h + 1 if lone else avg < h + 1)):
-            end = "]" if lone else ")"
+        if not h - 1e-9 <= avg < h + 1:
             violations.append(
-                f"average length {avg:.6f} outside [h, h+1{end} = [{h:.6f}, {h + 1:.6f}{end}")
+                f"average length {avg:.6f} outside [h, h+1) = [{h:.6f}, {h + 1:.6f})")
     elif kind == "trimmed":
         if avg > h + 2 + 1e-9:
             violations.append(f"average length {avg:.6f} exceeds h+2 = {h + 2:.6f}")

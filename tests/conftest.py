@@ -26,10 +26,9 @@ def brute_force_optimal_average(probs) -> Fraction:
     L <= 6 (codeword lengths never need to exceed L - 1).
     """
     L = len(probs)
-    assert L >= 2
     ordered = sorted((Fraction(p) for p in probs), reverse=True)
     best = None
-    for lengths in itertools.combinations_with_replacement(range(1, L), L):
+    for lengths in itertools.combinations_with_replacement(range(L), L):
         if kraft_sum(lengths) > 1:
             continue
         avg = sum(p * n for p, n in zip(ordered, lengths))

@@ -218,7 +218,7 @@ def test_key_cost():
     uni = pc.MessageSpace([bytes([i]) for i in range(4)], [Fraction(1, 4)] * 4)
     assert pc.key_cost(uni, pc.build_huffman(uni)) == 2
     single = pc.MessageSpace([b"m"], [Fraction(1)])
-    assert pc.key_cost(single, pc.build_huffman(single)) == 1
+    assert pc.key_cost(single, pc.build_huffman(single)) == 0  # its entropy
 
 
 def test_key_cost_uncovered_space():

@@ -1037,7 +1037,7 @@ def test_a_bound_violation_follows_the_report_on_one_pipe(tmp_path, unbuffered):
 
 
 def test_report_on_a_one_message_space(tmp_path, capsys):
-    # the lone message gets a 1-bit word, so the average is h + 1 = 1
+    # the lone message gets the empty word, so the average is h = 0
     space = write(tmp_path, "space.txt", '"only" 1/1\n')
     book = str(tmp_path / "codebook")
     assert main(["build-code", "--space", space, "--out", book]) == 0
@@ -1045,7 +1045,61 @@ def test_report_on_a_one_message_space(tmp_path, capsys):
     assert main(["report", "--space", space, "--code", book]) == 0
     text = capsys.readouterr().out
     assert "entropy_bits        0.000000\n" in text
+    assert "average_length      0.000000\n" in text
     assert "bounds(huffman)     ok\n" in text
+
+
+def test_a_one_message_space_costs_no_key_bits(tmp_path, monkeypatch, capsys):
+    # Huffman gives the lone message the empty word: l = 0, a frame that is
+    # its 17-byte header alone, and no key bit spent at either end
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "space.txt", '"only" 1/1\n')
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert capsys.readouterr().out == "codebook huffman: 1 messages, l=0 -> codebook\n"
+    assert (tmp_path / "codebook").read_text(encoding="utf-8") == (
+        "padcrypt-codebook 1 huffman 1\n0 6f6e6c79 -\n")
+    assert main(["keygen", "64", "--out", "alice.pool",
+                 "--rng", "seeded:5", "--insecure-test"]) == 0
+    shutil.copyfile("alice.pool", "bob.pool")
+    (tmp_path / "msg").write_bytes(b"only")
+    assert main(["encrypt", "--code", "codebook", "--key", "alice.pool",
+                 "--in", "msg", "--out", "frame"]) == 0
+    assert main(["decrypt", "--code", "codebook", "--key", "bob.pool",
+                 "--in", "frame", "--out", "msg.out"]) == 0
+    assert len((tmp_path / "frame").read_bytes()) == 17
+    assert (tmp_path / "msg.out").read_bytes() == b"only"
+    assert [keystore.KeyPool.load(p).cursor for p in ("alice.pool", "bob.pool")] == [0, 0]
+    capsys.readouterr()
+    for demo in ([], ["--naive-leak-demo"]):
+        assert main(["verify", "--space", "space.txt", "--code", "codebook", *demo]) == 0
+        assert capsys.readouterr().out == "PERFECT\n"
+    assert main(["report", "--space", "space.txt", "--code", "codebook"]) == 0
+    text = capsys.readouterr().out
+    assert "average_length      0.000000\n" in text
+    assert "bounds(huffman)     ok\n" in text
+    # trimming keeps the empty word behind the 0 flag: l = 1, the cap for L = 1
+    assert main(["build-code", "--space", "space.txt", "--codec", "trimmed-huffman",
+                 "--out", "trimmed"]) == 0
+    assert capsys.readouterr().out == "codebook trimmed-huffman: 1 messages, l=1 -> trimmed\n"
+    assert (tmp_path / "trimmed").read_text(encoding="utf-8").endswith("\n0 6f6e6c79 0\n")
+    assert main(["report", "--space", "space.txt", "--code", "trimmed"]) == 0
+    assert "bounds(trimmed)     ok\n" in capsys.readouterr().out
+
+
+def test_a_report_writes_the_empty_word_as_a_codebook_does(tmp_path, capsys):
+    space = write(tmp_path, "space.txt", '"only" 1/1\n')
+    book = write(tmp_path, "codebook", "padcrypt-codebook 1 custom 1\n0 6f6e6c79 -\n")
+    report = tmp_path / "report.txt"
+    assert main(["verify", "--space", space, "--code", book, "--report-out", str(report)]) == 0
+    assert report.read_text(encoding="utf-8") == (
+        "l 0\nverdict perfect\nmax_deviation 0/1\n"
+        "table marginal\n  - 1/1\ntable conditional 6f6e6c79\n  - 1/1\n")
+
+
+def test_an_unknown_codec_is_refused_before_the_space_file_is_read(tmp_path, capsys):
+    assert main(["build-code", "--codec", "bogus", "--space", str(tmp_path / "missing.txt"),
+                 "--out", str(tmp_path / "codebook")]) == 2
+    assert capsys.readouterr() == ("", "ERROR PadcryptError: unknown codec 'bogus'\n")
 
 
 def test_external_codec_via_shell(tmp_path):

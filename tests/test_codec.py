@@ -18,7 +18,6 @@ from padcrypt.bits import BitString, elias_gamma_decode
 from padcrypt.codec import MAX_Q_BITS, _canonical
 from padcrypt.errors import (
     CodebookFormatError,
-    DegenerateSpace,
     EmptyCompressorOutput,
     InvalidCode,
     InvalidSpace,
@@ -123,10 +122,11 @@ def test_huffman_half_quarter_quarter():
 
 
 def test_huffman_single_message():
+    # the lone message is the root: the empty word, which costs no key bit
     sp = pc.MessageSpace([b"only"], [Fraction(1)])
     code = pc.build_huffman(sp)
-    assert code.codebook[b"only"] == B("0")
-    assert code.max_len == 1
+    assert code.codebook[b"only"] == B("")
+    assert code.max_len == 0
 
 
 def test_huffman_deterministic_under_ties():
@@ -137,16 +137,17 @@ def test_huffman_deterministic_under_ties():
 
 
 def test_huffman_kraft_equality(seeded):
-    for _ in range(25):
-        sp = random_rational_space(seeded, seeded.randint(2, 10))
+    spaces = [random_rational_space(seeded, seeded.randint(2, 10)) for _ in range(25)]
+    spaces += [pc.MessageSpace([b"only"], [Fraction(1)]), pc.MessageSpace([b"x"], [1.0])]
+    for sp in spaces:
         code = pc.build_huffman(sp)
         assert kraft_sum(len(w) for w in code.codebook.values()) == 1
 
 
 def test_huffman_matches_brute_force_small(seeded):
-    for _ in range(30):
-        L = seeded.randint(2, 6)
-        sp = random_rational_space(seeded, L)
+    spaces = [random_rational_space(seeded, seeded.randint(2, 6)) for _ in range(30)]
+    spaces.append(pc.MessageSpace([b"only"], [Fraction(1)]))
+    for sp in spaces:
         code = pc.build_huffman(sp)
         avg = sum(p * len(code.codebook[m]) for m, p in zip(sp.messages, sp.probs))
         assert avg == brute_force_optimal_average(sp.probs)
@@ -200,8 +201,6 @@ def huffman_on_fraction_heap(space):
     """Reference builder: merge the probabilities themselves, Fractions or
     floats, carrying each subtree's message indices in a list."""
     L = len(space)
-    if L == 1:
-        return pc.PrefixCode({space.messages[0]: B("0")})
     heap = [(p, i, [i]) for i, p in enumerate(space.probs)]
     heapq.heapify(heap)
     depth = [0] * L
@@ -280,11 +279,13 @@ def test_trim_short_codeword_kept_behind_zero_flag():
     assert trimmed.codebook[messages[1]] == B("001")
 
 
-def test_trim_rejects_single_message():
+def test_trim_gives_a_single_message_the_word_0():
+    # the empty word is kept behind the 0 flag: l = 1 = ceil(log2 1) + 1
     sp = pc.MessageSpace([b"x"], [Fraction(1)])
-    code = pc.build_huffman(sp)
-    with pytest.raises(DegenerateSpace):
-        pc.trim_code(code, sp)
+    trimmed = pc.trim_code(pc.build_huffman(sp), sp)
+    assert trimmed.codebook[b"x"] == B("0")
+    assert trimmed.max_len == 1
+    assert pc.bound_report(sp, trimmed, "trimmed").ok
 
 
 def test_trim_rejects_a_code_over_other_messages():
@@ -732,7 +733,7 @@ PACKAGE_EXPORTS = {
     "codec": ["MessageSpace", "PrefixCode", "build_huffman", "decode_prefix", "encode",
               "load_codebook", "load_space", "save_codebook", "trim_code", "wrap_external"],
     "errors": ["BoundViolation", "CodebookFormatError", "DecryptionFailed",
-               "DegenerateSpace", "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
+               "EmptyCompressorOutput", "EnumerationTooLarge", "InvalidCode",
                "InvalidLength", "InvalidSpace", "KeyExhausted",
                "NondeterministicCompressor", "NotACodeword", "NotInCodebook",
                "PadcryptError", "PoolFormatError", "WireFormatError"],

@@ -92,7 +92,7 @@ def test_oracle_single_message_trivially_perfect():
     sp = pc.MessageSpace([b"m"], [Fraction(1)])
     report = pc.exact_secrecy_oracle(sp, pc.build_huffman(sp))
     assert report.perfect
-    assert report.posterior(b"m", B("0"), Fraction(1)) == 1
+    assert report.posterior(b"m", B(""), Fraction(1)) == 1
 
 
 def test_oracle_bayes_consistency():
