@@ -42,8 +42,8 @@ class KeyPool:
         """Consume and return the next s key bits, advancing the cursor."""
         bits = self.peek(s)
         self.cursor += s
-        if self.backing_path is not None:
-            # write-ahead: persist the new cursor before releasing the bits
+        if s and self.backing_path is not None:
+            # write-ahead: persist a moved cursor before releasing the bits
             self.save(self.backing_path)
         return bits
 

@@ -18,10 +18,10 @@ class OsRandomSource(RandomSource):
     """OS-backed cryptographically secure source (the default)."""
 
     def bits(self, n: int) -> BitString:
-        # n bits from os.urandom, as `random.SystemRandom.getrandbits` (and so
-        # `secrets.randbits`) draws them, without importing `secrets`, which
-        # loads `hashlib` and `hmac`
-        return BitString(int.from_bytes(os.urandom((n + 7) // 8), "big") >> (-n % 8), n)
+        # n bits from os.urandom, unpacked MSB-first as a pool file's are: the
+        # draw of `random.SystemRandom.getrandbits` (and so `secrets.randbits`),
+        # without importing `secrets`, which loads `hashlib` and `hmac`
+        return BitString.from_bytes(os.urandom((n + 7) // 8), n)
 
 
 class SeededRandomSource(RandomSource):

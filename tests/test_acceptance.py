@@ -36,8 +36,7 @@ def code_collection(rng):
         sp = random_rational_space(rng, L)
         huff = pc.build_huffman(sp)
         pairs.append((sp, huff))
-        if L >= 2:
-            pairs.append((sp, pc.trim_code(huff, sp)))
+        pairs.append((sp, pc.trim_code(huff, sp)))
     sp = dyadic_space_l8()
     pairs.append((sp, pc.build_huffman(sp)))
     return pairs

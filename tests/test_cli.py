@@ -1061,6 +1061,13 @@ def test_a_one_message_space_costs_no_key_bits(tmp_path, monkeypatch, capsys):
     assert main(["keygen", "64", "--out", "alice.pool",
                  "--rng", "seeded:5", "--insecure-test"]) == 0
     shutil.copyfile("alice.pool", "bob.pool")
+
+    def pools():
+        # a take of no bits writes nothing: not a byte, and no new file
+        return [(p.read_bytes(), p.stat().st_dev, p.stat().st_ino)
+                for p in (tmp_path / "alice.pool", tmp_path / "bob.pool")]
+
+    before = pools()
     (tmp_path / "msg").write_bytes(b"only")
     assert main(["encrypt", "--code", "codebook", "--key", "alice.pool",
                  "--in", "msg", "--out", "frame"]) == 0
@@ -1069,6 +1076,7 @@ def test_a_one_message_space_costs_no_key_bits(tmp_path, monkeypatch, capsys):
     assert len((tmp_path / "frame").read_bytes()) == 17
     assert (tmp_path / "msg.out").read_bytes() == b"only"
     assert [keystore.KeyPool.load(p).cursor for p in ("alice.pool", "bob.pool")] == [0, 0]
+    assert pools() == before
     capsys.readouterr()
     for demo in ([], ["--naive-leak-demo"]):
         assert main(["verify", "--space", "space.txt", "--code", "codebook", *demo]) == 0

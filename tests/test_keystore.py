@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padcrypt
 from padcrypt import KeyPool, SeededRandomSource, generate_pool
 from padcrypt.bits import BitString
 from padcrypt.errors import InvalidLength, KeyExhausted, PadcryptError, PoolFormatError
@@ -143,6 +147,76 @@ def test_two_handles_on_one_pool_file_never_issue_the_same_bits(tmp_path):
     except PadcryptError:
         return
     assert abs(starts[0] - starts[1]) >= 16
+
+
+# A child process that loads the pool at argv[1], makes the argv[3]-th call
+# of os.<argv[2]> end the process instead of running, then takes 8 bits and
+# prints them.
+KILLED_TAKE = """
+import os, sys
+from padcrypt import KeyPool
+pool = KeyPool.load(sys.argv[1])
+name, k = sys.argv[2], int(sys.argv[3])
+real, calls = getattr(os, name), []
+def call(*args):
+    calls.append(args)
+    if len(calls) == k:
+        os._exit(9)
+    return real(*args)
+setattr(os, name, call)
+print(pool.take(8), flush=True)
+"""
+
+# The calls of a pool save in the order write_file makes them: the directory's
+# open, the temp file's open, its mode, its bytes, its sync, the rename, its
+# close, and the directory's close, which follows the directory's sync.  The
+# last point never comes, so that child prints its bits.
+KILL_POINTS = [("open", 1), ("open", 2), ("fchmod", 1), ("write", 1), ("fsync", 1),
+               ("replace", 1), ("close", 1), ("close", 2), ("close", 3)]
+
+
+@pytest.fixture(scope="module")
+def killed_takes(tmp_path_factory):
+    """(kill point, pool directory, child process) for each kill point, each
+    run once for the two tests below.  The directories are not tmp_path: what
+    a kill leaves in them is the second test's to judge."""
+    src = str(Path(padcrypt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for name, k in KILL_POINTS:
+        folder = tmp_path_factory.mktemp(f"kill-{name}-{k}")
+        pool = generate_pool(64, SeededRandomSource(17))
+        pool.take(8)
+        pool.save(folder / "k.pool")
+        proc = subprocess.run([sys.executable, "-c", KILLED_TAKE, str(folder / "k.pool"),
+                               name, str(k)], env=env, capture_output=True, encoding="utf-8",
+                              timeout=60)
+        runs.append(((name, k), folder, proc))
+    return runs
+
+
+def test_a_take_killed_in_its_save_leaves_the_old_cursor_or_the_new(killed_takes):
+    # the write-ahead rule: the pool always loads, and bits the child printed
+    # are behind the cursor on disk
+    cursors = set()
+    for point, folder, proc in killed_takes:
+        assert proc.returncode == (0 if point == KILL_POINTS[-1] else 9), (point, proc.stderr)
+        pool = KeyPool.load(folder / "k.pool")
+        assert pool.cursor in (8, 16), point
+        if proc.stdout:
+            assert pool.cursor == 16, point
+            assert proc.stdout == f"{pool.material.slice(8, 16)}\n"
+        cursors.add(pool.cursor)
+    assert cursors == {8, 16}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_a_take_killed_in_its_save_leaves_no_copy_of_the_pool(killed_takes):
+    # write_file's temp file holds all the key material; a kill between its
+    # open and the rename leaves it behind, and nothing removes it
+    for point, folder, _ in killed_takes:
+        assert os.listdir(folder) == ["k.pool"], point
 
 
 def test_load_truncated_file(tmp_path):

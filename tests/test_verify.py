@@ -568,8 +568,7 @@ def test_weights_match_fraction_references(seeded):
     assert sum(sp.is_exact for sp in spaces) == 40 * 2 + 2
     for sp in spaces:
         huffman = pc.build_huffman(sp)
-        codes = [huffman, pc.trim_code(huffman, sp)] if len(sp) > 1 else [huffman]
-        for code in codes:
+        for code in (huffman, pc.trim_code(huffman, sp)):
             cost, ref = pc.key_cost(sp, code), reference_key_cost(sp, code)
             assert cost == ref and type(cost) is type(ref)
             for obs in ("naive-ciphertext-length", "ciphertext-length"):
