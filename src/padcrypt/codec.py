@@ -30,16 +30,16 @@ if TYPE_CHECKING:
 
 PROB_SUM_TOL = 1e-9
 MAX_Q_BITS = 2 ** 15  # cap on an exact space's _q, which each of its weights can reach
-MAX_DIGITS = 4300  # longest number a space file holds: sys.int_info.default_max_str_digits
+MAX_DIGITS = 4300  # longest number an input file holds: sys.int_info.default_max_str_digits
 
 
 class MessageSpace(Record):
     """Finite set of distinct messages with a probability distribution.
 
     _weights is the one form that code computes with.  An exact space (every
-    probability a Fraction) keeps its integer form: _q, the least common
-    denominator, and _weights, each probability times _q.  A float or mixed
-    space has _q = 0 and its probabilities themselves as _weights.
+    probability an int or a Fraction) keeps its integer form: _q, the least
+    common denominator, and _weights, each probability times _q.  A space
+    with a float in it has _q = 0 and its probabilities themselves as _weights.
     Validation, Huffman merging, key cost, entropy, the length leak and the
     exact oracle all read _weights.
     """
@@ -67,7 +67,7 @@ class MessageSpace(Record):
         if len(probs) != len(messages):
             raise InvalidSpace("probs and messages differ in length")
         q = 0
-        if all(isinstance(p, Fraction) for p in probs):
+        if all(isinstance(p, (int, Fraction)) for p in probs):
             q = 1
             for d in {p.denominator for p in probs}:
                 q = math.lcm(q, d)
@@ -82,11 +82,10 @@ class MessageSpace(Record):
         if any((p.numerator if q else p) < 0 for p in probs):
             raise InvalidSpace("negative probability")
         total = sum(scaled() if q else probs)
-        # a sum with no float in it is exact; q is 0 for ints, or ints and Fractions
-        if isinstance(total, (int, Fraction)):
-            if total != (q or 1):
+        if q:
+            if total != q:
                 raise InvalidSpace(
-                    f"probabilities sum to {_shown(Fraction(total, q or 1))}, expected 1")
+                    f"probabilities sum to {_shown(Fraction(total, q))}, expected 1")
         elif not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total fails too
             raise InvalidSpace(f"probabilities sum to {_shown(total)}, expected 1")
         object.__setattr__(self, "messages", messages)
@@ -357,10 +356,9 @@ def load_codebook(text: str) -> tuple[PrefixCode, str]:
     codec_name = header[2]
 
     def number(field: str) -> int:
-        # no count or index of a valid file has more digits than the file has
-        # lines, and int() of a longer one takes time quadratic in its length:
-        # such a field reads as -1, which matches no count and no index
-        return int(field) if len(field) <= len(lines) else -1
+        # int() takes time quadratic in a field's length: one longer than
+        # MAX_DIGITS, a space file's bound, reads as -1, which matches nothing
+        return int(field) if len(field) <= MAX_DIGITS else -1
 
     try:
         count = number(header[3])

@@ -26,7 +26,7 @@ from .errors import EnumerationTooLarge
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable
+    from typing import Collection
 
     from .rng import RandomSource
 
@@ -43,14 +43,13 @@ def _within_budget(code: PrefixCode, cap: int) -> int:
     return l
 
 
-def _entropy(weights: Iterable[int | Fraction | float]) -> float:
-    """-sum p log2 p, each p a positive weight over the sum of the positive
-    weights (for integer weights, one correctly rounded division), so that a
-    point mass gives exactly +0.0 even when its float masses sum to a few
-    ulps below 1 (and max turns its -0.0 into +0.0)."""
-    weights = [w for w in weights if w > 0]
+def _entropy(weights: Collection[int | Fraction | float]) -> float:
+    """-sum p log2 p, each p a weight over the sum of the weights (for integer
+    weights, one correctly rounded division) and skipped when it is 0.0 as a
+    float, so that a point mass gives exactly +0.0 even when its float masses
+    sum to a few ulps below 1 (and max turns its -0.0 into +0.0)."""
     total = sum(weights)
-    return max(0.0, -sum(p * math.log2(p) for p in (float(w / total) for w in weights)))
+    return max(0.0, -sum(p * math.log2(p) for p in (float(w / total) for w in weights) if p))
 
 
 def shannon_entropy(space: MessageSpace) -> float:

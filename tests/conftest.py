@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,11 @@ SPACE_4 = """\
 """
 
 
+# two probabilities of 10^-400, each 0.0 as a float, beside 1/2 and the rest
+SPACE_UNDERFLOW = "".join([
+    '"a" 1e-400\n', '"d" 1e-400\n', '"b" 1/2\n', f'"c" {10 ** 400 // 2 - 2}/{10 ** 400}\n'])
+
+
 # --- hostile and truncated input files -----------------------------------
 
 # codebook files that load_codebook must refuse, each with its error text
@@ -92,6 +98,10 @@ HOSTILE_CODEBOOKS = {
                             "record indices do not match header count"),
     "codebook-long-index": (f"padcrypt-codebook 1 huffman 1\n{'9' * 10 ** 6} 61 0\n",
                             "record indices do not match header count"),
+    # an index of 5,000 digits, then more blank lines than that: a bound by
+    # the file's line count handed the index to int()
+    "codebook-padded-index": (f"padcrypt-codebook 1 huffman 1\n{'9' * 5000} 61 0\n"
+                              + "\n" * 6000, "record indices do not match header count"),
 }
 
 
@@ -142,6 +152,17 @@ def reference_leak(space: MessageSpace, code, observable: str) -> float:
         o = code.max_len if observable == "ciphertext-length" else len(code.codebook[m])
         dist[o] = dist.get(o, 0) + p
     return reference_entropy(dist.values())
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_limit(request):
+    """Runs a test under the interpreter's default limit on int() of a
+    string, and with that limit off, as PYTHONINTMAXSTRDIGITS=0 sets it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(
+        sys.int_info.default_max_str_digits if request.param == "default" else 0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -17,7 +17,13 @@ from padcrypt.cli import main
 from padcrypt.codec import MAX_Q_BITS
 from padcrypt.errors import InvalidSpace, PadcryptError
 
-from conftest import HOSTILE_CODEBOOKS, SPACE_4, hostile_pools, large_prime_space_file
+from conftest import (
+    HOSTILE_CODEBOOKS,
+    SPACE_4,
+    SPACE_UNDERFLOW,
+    hostile_pools,
+    large_prime_space_file,
+)
 
 SPACE_122 = """\
 "a" 1/3
@@ -580,6 +586,39 @@ def test_a_failed_sync_is_an_error_line(tmp_path, monkeypatch, capsys):
         assert tree(tmp_path) == files
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+def test_a_frame_lost_to_a_full_disk_leaves_no_wrong_message(tmp_path, monkeypatch):
+    # the failed --out write still spends Alice's 2 key bits, as a take must,
+    # so her resent `no` is padded with bits 2-3, which Bob's decrypt reads as
+    # if they were bits 0-1: the seeded pool's bits 0010 make that `yes`
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "space.txt", '"yes" 1/2\n"no" 1/4\n"maybe" 1/4\n')
+    assert main(["build-code", "--space", "space.txt", "--out", "codebook"]) == 0
+    assert main(["keygen", "64", "--out", "alice.pool",
+                 "--rng", "seeded:3", "--insecure-test"]) == 0
+    shutil.copyfile("alice.pool", "bob.pool")
+    (tmp_path / "msg").write_bytes(b"no")
+    real_write = os.write
+
+    def full_disk_write(fd, data):
+        if any(os.path.samestat(os.fstat(fd), os.stat(tmp))
+               for tmp in tmp_path.glob(".frame.*.tmp")):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data)
+
+    encrypt = ["encrypt", "--code", "codebook", "--key", "alice.pool",
+               "--in", "msg", "--out", "frame"]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", full_disk_write)
+        assert main(encrypt) == 2
+    assert not (tmp_path / "frame").exists()
+    assert keystore.KeyPool.load("alice.pool").cursor == 2
+    assert main(encrypt) == 0
+    code = main(["decrypt", "--code", "codebook", "--key", "bob.pool",
+                 "--in", "frame", "--out", "msg.out"])
+    assert code == 2 or (code, (tmp_path / "msg.out").read_bytes()) == (0, b"no")
+
+
 @pytest.fixture
 def writing_call(tmp_path, monkeypatch):
     """Runs a WRITING_CALLS command cold, with its output at `out`, after
@@ -1047,6 +1086,20 @@ def test_report_on_a_one_message_space(tmp_path, capsys):
     assert "entropy_bits        0.000000\n" in text
     assert "average_length      0.000000\n" in text
     assert "bounds(huffman)     ok\n" in text
+
+
+def test_report_and_verify_on_probabilities_below_the_smallest_float(tmp_path, capsys):
+    # 10^-400 is 0.0 as a float: its term adds nothing to h, and raised before
+    space = write(tmp_path, "space.txt", SPACE_UNDERFLOW)
+    book = str(tmp_path / "codebook")
+    assert main(["build-code", "--space", space, "--out", book]) == 0
+    capsys.readouterr()
+    assert main(["report", "--space", space, "--code", book]) == 0
+    text = capsys.readouterr().out
+    assert "entropy_bits        1.000000\n" in text
+    assert "bounds(huffman)     ok\n" in text
+    assert main(["verify", "--space", space, "--code", book, "--naive-leak-demo"]) == 3
+    assert capsys.readouterr().out.endswith("(I(M; length) = 1.0000 bits)\n")
 
 
 def test_a_one_message_space_costs_no_key_bits(tmp_path, monkeypatch, capsys):

@@ -593,17 +593,6 @@ def test_a_probability_near_the_cap_still_loads():
         assert pc.load_space(f"61 {token}\n62 1\n").probs == (0, 1)
 
 
-@pytest.fixture(params=["default", "unlimited"])
-def int_limit(request):
-    """Runs a test under the interpreter's default limit on int() of a
-    string, and with that limit off, as PYTHONINTMAXSTRDIGITS=0 sets it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(
-        sys.int_info.default_max_str_digits if request.param == "default" else 0)
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
 @pytest.mark.parametrize("token", [
     "1/" + "7" * 4301, "1/" + "7" * 10 ** 5, "1/" + "7" * 3 * 10 ** 5,
     "0." + "1" * 4301, "7" * 4301 + "/7", "1/" + "7_" * 4300 + "7", "1e-" + "1" * 4301,
@@ -642,6 +631,19 @@ def test_the_digit_bound_costs_time_and_memory_linear_in_a_line(numbers):
         tracemalloc.stop()
     assert time.perf_counter() - start < 5
     assert peak <= 8 * len(text)
+
+
+def test_a_padded_codebook_is_refused_in_time_linear_in_its_size(int_limit):
+    # a 3.0 MB codebook whose one index has as many digits as blank lines
+    # follow it: a bound by the line count let int() read the index, 14 s on
+    # Python 3.11 with the limit off; timed without tracemalloc, which makes
+    # the split into 1.5 million lines about 20 times slower
+    n = 1_500_000
+    text = f"padcrypt-codebook 1 huffman 1\n{'9' * n} 61 0\n" + "\n" * n
+    start = time.perf_counter()
+    with pytest.raises(CodebookFormatError, match="^record indices do not match header count$"):
+        pc.load_codebook(text)
+    assert time.perf_counter() - start < 5
 
 
 # --- codebook file format -------------------------------------------------
@@ -710,7 +712,7 @@ def test_codebook_rejects_garbage():
 
 
 @pytest.mark.parametrize("case", list(HOSTILE_CODEBOOKS))
-def test_codebook_rejects_hostile_files(case):
+def test_codebook_rejects_hostile_files(int_limit, case):
     text, error = HOSTILE_CODEBOOKS[case]
     with pytest.raises(CodebookFormatError, match=error):
         pc.load_codebook(text)

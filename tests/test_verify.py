@@ -19,6 +19,7 @@ from padcrypt.errors import EnumerationTooLarge, NotInCodebook
 from padcrypt.verify import MAX_L, _table
 
 from conftest import (
+    SPACE_UNDERFLOW,
     random_float_space,
     reference_entropy,
     reference_key_cost,
@@ -55,6 +56,14 @@ def test_entropy_point_mass():
     sp = pc.MessageSpace([b"a", b"b", b"c"],
                          [Fraction(1), Fraction(0), Fraction(0)])
     assert pc.shannon_entropy(sp) == 0.0
+
+
+def test_a_probability_below_the_smallest_float_adds_nothing_to_h():
+    # 10^-400 is 0.0 as a float, whose log2 raised ValueError
+    sp = pc.load_space(SPACE_UNDERFLOW)
+    assert pc.shannon_entropy(sp) == 1.0
+    leak = pc.leak_mutual_information(sp, pc.build_huffman(sp))
+    assert leak.mutual_information == 1.0
 
 
 def test_entropy_bounds(seeded):
@@ -565,7 +574,13 @@ def test_weights_match_fraction_references(seeded):
     spaces += [mixed_space(seeded, seeded.randint(1, 40)) for _ in range(30)]
     spaces.append(pc.MessageSpace([b"a", b"b", b"c"], [Fraction(1, 2), 0.25, 0.25]))
     spaces.append(pc.MessageSpace([bytes([i]) for i in range(10)], [0.1] * 10))
-    assert sum(sp.is_exact for sp in spaces) == 40 * 2 + 2
+    # no float in it, so exact, though one probability is an int
+    halves = pc.MessageSpace([b"a", b"b", b"c"], [Fraction(1, 2), Fraction(1, 2), 0])
+    spaces.append(halves)
+    assert sum(sp.is_exact for sp in spaces) == 40 * 2 + 3
+    assert halves._q == 2
+    assert pc.key_cost(halves, pc.build_huffman(halves)) == Fraction(3, 2)
+    assert pc.exact_secrecy_oracle(halves, pc.build_huffman(halves)).verdict == "perfect"
     for sp in spaces:
         huffman = pc.build_huffman(sp)
         for code in (huffman, pc.trim_code(huffman, sp)):
