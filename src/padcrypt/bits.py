@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from ._record import Record
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
+
 # bound once: a lookup of object.__setattr__ costs more than the store
 _set = object.__setattr__
 
@@ -62,9 +66,7 @@ class BitString(Record):
         return (self.value >> (self.length - 1 - i)) & 1
 
     def __str__(self) -> str:
-        # a leading 1 above the top bit keeps the zeros: "0b1" + the bits,
-        # and "" for the empty word, without a format spec or a branch
-        return bin(self.value | 1 << self.length)[3:]
+        return render((self,))[0]
 
     # --- operations ---
 
@@ -92,6 +94,15 @@ class BitString(Record):
         """
         nbytes = (self.length + 7) // 8
         return (self.value << (8 * nbytes - self.length)).to_bytes(nbytes, "big")
+
+
+def render(words: Iterable[BitString]) -> list[str]:
+    """Each word's bits as 0/1 text, "" for the empty word: the one 0/1
+    rendering, made in one comprehension, so a whole code costs no call
+    per word."""
+    # a leading 1 above the top bit keeps the zeros: "0b1" + the bits,
+    # and "" for the empty word, without a format spec or a branch
+    return [bin(w.value | 1 << w.length)[3:] for w in words]
 
 
 def elias_gamma(n: int) -> BitString:

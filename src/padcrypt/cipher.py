@@ -10,7 +10,7 @@ key bits remain, so running out of key shows nothing about the message.
 from __future__ import annotations
 
 from ._record import Record
-from .bits import BitString
+from .bits import BitString, render
 from .codec import MessageSpace, PrefixCode, decode_prefix, encode
 from .errors import DecryptionFailed, NotACodeword, WireFormatError
 
@@ -115,7 +115,10 @@ def code_fingerprint(code: PrefixCode) -> bytes:
             from _sha256 import sha256
     except ImportError:  # an interpreter built without them
         from hashlib import sha256
-    text = "".join(f"{m.hex()}:{w}\n" for m, w in sorted(code.codebook.items()))
+    book = code.codebook
+    messages = sorted(book)
+    words = render(map(book.__getitem__, messages))
+    text = "".join([f"{m.hex()}:{w}\n" for m, w in zip(messages, words)])
     return sha256(text.encode()).digest()[:8]
 
 

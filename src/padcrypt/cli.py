@@ -206,7 +206,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         verdict = "PERFECT"
     else:
         leak = verify.leak_mutual_information(space, code)
-        verdict = (f"LEAKY\nmax deviation {report.max_deviation} "
+        verdict = (f"LEAKY\nmax deviation {verify.fraction_text(report.max_deviation)} "
                    f"(I(M; length) = {leak.mutual_information:.4f} bits)")
     if args.report_out:
         from ._files import write_file

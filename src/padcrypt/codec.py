@@ -10,7 +10,7 @@ writes codebooks.
 from __future__ import annotations
 
 from ._record import Record
-from .bits import BitString, elias_gamma
+from .bits import BitString, elias_gamma, render
 from .errors import (
     CodebookFormatError,
     EmptyCompressorOutput,
@@ -138,7 +138,7 @@ class PrefixCode(Record):
             raise InvalidCode("codebook is not injective")
         # as sorted 0/1 strings, a word is a prefix of some other word exactly
         # when it is a prefix of the word right after it
-        words = sorted(map(str, codebook.values()))
+        words = sorted(render(codebook.values()))
         if any(map(str.startswith, words[1:], words)):
             raise InvalidCode("codeword set is not prefix-free")
         lengths = tuple(sorted({n for n, _ in table}))
@@ -339,10 +339,11 @@ def save_codebook(code: PrefixCode, codec_name: str = "custom") -> str:
     # load_codebook splits the header on any whitespace
     if codec_name.split() != [codec_name]:
         raise ValueError("codec name must be a single nonempty token")
+    book = code.codebook
     return "".join([
-        f"{CODEBOOK_MAGIC} {CODEBOOK_VERSION} {codec_name} {len(code.codebook)}\n",
-        *(f"{i} {m.hex() or '-'} {str(w) or '-'}\n"
-          for i, (m, w) in enumerate(code.codebook.items()))])
+        f"{CODEBOOK_MAGIC} {CODEBOOK_VERSION} {codec_name} {len(book)}\n",
+        *[f"{i} {m.hex() or '-'} {w or '-'}\n"
+          for i, (m, w) in enumerate(zip(book, render(book.values())))]])
 
 
 def load_codebook(text: str) -> tuple[PrefixCode, str]:

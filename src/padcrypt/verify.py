@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import cipher
 from ._record import Record
-from .bits import BitString
+from .bits import BitString, render
 from .codec import MessageSpace, PrefixCode, encode
 from .errors import EnumerationTooLarge
 
@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 MAX_L = 12  # the exact checks enumerate 2^l ciphertexts per message
 _CHI_SQUARE_MAX_L = 24  # the chi-square test keeps one count per ciphertext
 CHI_SQUARE_MIN_PER_BIN = 50
+_PART = 10 ** 640  # 640 digits: the least limit on int-to-str conversion there is
 
 
 def _within_budget(code: PrefixCode, cap: int) -> int:
@@ -84,15 +85,30 @@ class SecrecyReport(Record):
 
     def text(self) -> str:
         """The report file: its header, then one table per distribution."""
-        d = self.max_deviation
         lines = [f"l {self.l}", f"verdict {self.verdict}",
-                 f"max_deviation {d.numerator}/{d.denominator}"]
+                 f"max_deviation {fraction_text(self.max_deviation)}"]
         for name, dist in [("marginal", self.marginal), *(
                 (f"conditional {m.hex() or '-'}", t) for m, t in self.per_message_dists.items())]:
             lines.append(f"table {name}")
-            lines += (f"  {str(e) or '-'} {dist[e].numerator}/{dist[e].denominator}"
-                      for e in sorted(dist, key=str))
+            # the 0/1 texts are distinct, so the sort never compares two ps
+            lines += (f"  {e or '-'} {fraction_text(p)}"
+                      for e, p in sorted(zip(render(dist), dist.values())))
         return "".join(line + "\n" for line in lines)
+
+
+def fraction_text(x: Fraction) -> str:
+    """`numerator/denominator` of x >= 0 under any limit on int-to-str
+    conversion, each number converted in parts of at most 640 digits.  A
+    report's numbers stay near 10,000 digits, since _q is capped at 2^15
+    bits, so a number takes a few parts."""
+    texts = []
+    for n in (x.numerator, x.denominator):
+        parts = []
+        while n >= _PART:
+            n, low = divmod(n, _PART)
+            parts.append(str(low).zfill(640))
+        texts.append(str(n) + "".join(reversed(parts)))
+    return "/".join(texts)
 
 
 def _table(x: BitString, l: int, key_bits: int, naive: bool) -> dict[tuple[int, int], int]:
@@ -329,7 +345,7 @@ def bound_report(space: MessageSpace, code: PrefixCode,
 
     violations: list[str] = []
     if kind == "huffman":
-        if not h - 1e-9 <= avg < h + 1:
+        if not h - 1e-9 <= avg < h + 1 + 1e-9:
             violations.append(
                 f"average length {avg:.6f} outside [h, h+1) = [{h:.6f}, {h + 1:.6f})")
     elif kind == "trimmed":

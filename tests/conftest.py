@@ -80,6 +80,18 @@ SPACE_UNDERFLOW = "".join([
     '"a" 1e-400\n', '"d" 1e-400\n', '"b" 1/2\n', f'"c" {10 ** 400 // 2 - 2}/{10 ** 400}\n'])
 
 
+# 10^-9000 beside three probabilities that make up the rest, in tokens of at
+# most 4,000 digits; h is about 1.3e-3996 and the Huffman average 1 + 1e-4000,
+# 0.0 and 1.0 as floats, and the naive oracle's table entries run past 4,300
+# digits
+SPACE_NEAR_CAP = "".join([
+    "61 1e-9000\n",
+    f"62 {'9' * 4000}e-4000\n",
+    f"63 {'9' * 4000}e-8000\n",
+    f"64 {'9' * 1000}e-9000\n",
+])
+
+
 # --- hostile and truncated input files -----------------------------------
 
 # codebook files that load_codebook must refuse, each with its error text

@@ -33,6 +33,11 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         verify.exact_secrecy_oracle(sp, code)
         verify.key_discipline_equivalence(sp, code)
         verify.bound_report(sp, code)
+        # one message end to end: each end hashes the codebook once
+        rand = pc.SeededRandomSource(1)
+        alice, bob = (keystore.KeyPool(pc.BitString(5, 8), pool_id="p") for _ in range(2))
+        frame = cipher.write_frame(cipher.encrypt(b"a", code, alice, rand), code, rand)
+        assert cipher.decrypt(cipher.read_frame(frame, code), code, bob) == b"a"
     finally:
         tracer.uninstall()
 
@@ -45,6 +50,9 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
     assert ("verify.exact_secrecy_oracle", "codec.encode") in callers
     assert ("verify.key_discipline_equivalence", "codec.encode") in callers
     assert ("verify.bound_report", "cipher.key_cost") in callers
+    hashes = [parent_of.get(parent) for name, _, _, parent in tracer.spans
+              if name == "cipher.code_fingerprint"]
+    assert sorted(hashes) == ["cipher.read_frame", "cipher.write_frame"]
 
 
 def test_the_cli_session_calls_run_as_the_benchmark_expects(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padcrypt.bits import BitString, elias_gamma, elias_gamma_decode
+from padcrypt.bits import BitString, elias_gamma, elias_gamma_decode, render
 
 
 def test_from_str_and_back():
@@ -103,6 +103,16 @@ def test_str_is_the_zero_padded_binary_of_value(data):
     n = data.draw(st.integers(0, 300))
     v = data.draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
     assert str(BitString(v, n)) == format_reference(v, n)
+
+
+words = st.integers(0, 200).flatmap(lambda n: st.builds(
+    BitString, st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1), st.just(n)))
+
+
+@given(st.lists(words, max_size=20))
+def test_render_gives_each_word_its_zero_padded_binary(ws):
+    assert render(ws) == [format_reference(w.value, w.length) for w in ws]
+    assert render(iter(ws)) == list(map(str, ws))
 
 
 def test_str_of_a_long_word():

@@ -251,16 +251,57 @@ def test_code_fingerprint_is_pinned_and_order_free():
     assert blob[:17] == b"PCWF\x01" + pinned + (2).to_bytes(4, "big")
 
 
+def zipf_code(L: int) -> pc.PrefixCode:
+    weights = [10 ** 6 // (i + 1) for i in range(L)]
+    total = sum(weights)
+    return pc.build_huffman(pc.MessageSpace([b"m%03d" % i for i in range(L)],
+                                            [Fraction(w, total) for w in weights]))
+
+
 def test_code_fingerprint_of_a_long_varied_code_is_pinned():
     # 256 Zipf-weighted messages: 9 distinct lengths up to l = 11, so a
     # change in how long words with leading zeros are rendered shows here
-    weights = [10 ** 6 // (i + 1) for i in range(256)]
-    total = sum(weights)
-    space = pc.MessageSpace([b"m%03d" % i for i in range(256)],
-                            [Fraction(w, total) for w in weights])
-    code = pc.build_huffman(space)
+    code = zipf_code(256)
     assert (code.max_len, len(set(map(len, code.codebook.values())))) == (11, 9)
     assert code_fingerprint(code) == bytes.fromhex("e3b407a96c0f15a4")
+
+
+@pytest.mark.parametrize("code, pinned", [
+    # the empty word of a lone message
+    (pc.build_huffman(pc.MessageSpace([b"only"], [Fraction(1)])), "52b787d27d3189a0"),
+    # 70-bit words, leading zeros and the empty message
+    (pc.PrefixCode({b"a": BitString(1, 70), b"b": BitString(1, 1),
+                    b"": BitString(1 << 68, 70)}), "9517f6ac9468f357"),
+], ids=["empty-word", "long-words"])
+def test_code_fingerprint_of_edge_words_is_pinned(code, pinned):
+    assert code_fingerprint(code) == bytes.fromhex(pinned)
+
+
+def python_calls(f, *args) -> int:
+    """The Python-level calls that f(*args) makes, its own included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(before)
+    return calls
+
+
+def test_rendering_a_code_makes_no_call_per_word():
+    # a call per word (a generator step, a __str__) would make the frame
+    # hash, which both ends compute per frame, grow with L in the interpreter
+    code_fingerprint(zipf_code(2))  # the first hash imports its SHA-256 module
+    small, large = zipf_code(16), zipf_code(256)
+    for f, arg in [(code_fingerprint, lambda code: code),
+                   (pc.PrefixCode, lambda code: code.codebook)]:
+        assert python_calls(f, arg(small)) == python_calls(f, arg(large)), f
 
 
 def test_code_fingerprint_falls_back_to_hashlib(monkeypatch):

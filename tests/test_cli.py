@@ -20,6 +20,7 @@ from padcrypt.errors import InvalidSpace, PadcryptError
 from conftest import (
     HOSTILE_CODEBOOKS,
     SPACE_4,
+    SPACE_NEAR_CAP,
     SPACE_UNDERFLOW,
     hostile_pools,
     large_prime_space_file,
@@ -1100,6 +1101,42 @@ def test_report_and_verify_on_probabilities_below_the_smallest_float(tmp_path, c
     assert "bounds(huffman)     ok\n" in text
     assert main(["verify", "--space", space, "--code", book, "--naive-leak-demo"]) == 3
     assert capsys.readouterr().out.endswith("(I(M; length) = 1.0000 bits)\n")
+
+
+def near_cap_files(tmp_path):
+    space = write(tmp_path, "space.txt", SPACE_NEAR_CAP)
+    book = str(tmp_path / "codebook")
+    assert main(["build-code", "--space", space, "--out", book]) == 0
+    return space, book
+
+
+def test_report_keeps_the_huffman_bound_within_float_rounding(tmp_path, capsys):
+    # avg and h + 1 are both 1.0 as floats, though avg < h + 1
+    space, book = near_cap_files(tmp_path)
+    capsys.readouterr()
+    assert main(["report", "--space", space, "--code", book]) == 0
+    assert "bounds(huffman)     ok\n" in capsys.readouterr().out
+
+
+def test_verify_writes_numbers_past_4300_digits_under_any_int_limit(tmp_path, capsys, int_limit):
+    # the naive tables hold numbers that str() refuses under the default int
+    # limit: each run writes the bytes that a run with no limit writes
+    space, book = near_cap_files(tmp_path)
+
+    def verify(name):
+        capsys.readouterr()
+        assert main(["verify", "--space", space, "--code", book,
+                     "--naive-leak-demo", "--report-out", str(tmp_path / name)]) == 3
+        return capsys.readouterr().out, (tmp_path / name).read_bytes()
+
+    shown = verify("report")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert shown == verify("report-unlimited")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, shown[1].split())) > 4300
 
 
 def test_a_one_message_space_costs_no_key_bits(tmp_path, monkeypatch, capsys):

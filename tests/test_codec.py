@@ -30,6 +30,7 @@ from padcrypt.errors import (
 from conftest import (
     HOSTILE_CODEBOOKS,
     SPACE_4,
+    SPACE_NEAR_CAP,
     brute_force_optimal_average,
     kraft_sum,
     large_prime_space_file,
@@ -580,12 +581,7 @@ def test_a_probability_near_the_cap_still_loads():
     # 1e-9000 has a denominator of 29,898 bits, under the cap; 1 - 1e-9000 is
     # split into tokens of at most 4,000 digits, which int() reads under the
     # interpreter's default limit
-    space = pc.load_space("".join([
-        "61 1e-9000\n",
-        f"62 {'9' * 4000}e-4000\n",
-        f"63 {'9' * 4000}e-8000\n",
-        f"64 {'9' * 1000}e-9000\n",
-    ]))
+    space = pc.load_space(SPACE_NEAR_CAP)
     assert space.probs[0] == Fraction(1, 10 ** 9000)
     assert space._q == 10 ** 9000
     # a mantissa of zeros is 0 at any exponent

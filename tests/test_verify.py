@@ -16,9 +16,10 @@ import padcrypt as pc
 from padcrypt import cipher
 from padcrypt.bits import BitString
 from padcrypt.errors import EnumerationTooLarge, NotInCodebook
-from padcrypt.verify import MAX_L, _table
+from padcrypt.verify import MAX_L, _table, fraction_text
 
 from conftest import (
+    SPACE_NEAR_CAP,
     SPACE_UNDERFLOW,
     random_float_space,
     reference_entropy,
@@ -156,6 +157,23 @@ def test_report_text_output():
     assert "verdict perfect" in text
     assert "max_deviation 0/1" in text
     assert "1/2" in text  # rationals serialized as num/den
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_fraction_text_writes_every_digit_under_any_int_limit(limit):
+    # 640 digits is the least limit the interpreter accepts; the numbers sit
+    # on each side of the first part boundaries and at a report's largest
+    # denominator, a _q of 2^15 bits times 2^12
+    numbers = [0, 1, 10 ** 640 - 1, 10 ** 640, 10 ** 640 + 1, 7 * 10 ** 1279,
+               10 ** 1280 + 10 ** 639, 2 ** (2 ** 15 + 12) - 1]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [f"{n}/{n + 1}" for n in numbers]
+        sys.set_int_max_str_digits(limit)
+        assert [fraction_text(Fraction(n, n + 1)) for n in numbers] == expected
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_report_text_golden_naive_zero_probability():
@@ -522,7 +540,17 @@ def test_bound_report_flags_violation():
     wasteful = pc.PrefixCode({m: B("1" * i + "0" + "0" * 3)
                               for i, m in enumerate(sp.messages)})
     rep = pc.bound_report(sp, wasteful, "huffman")
-    assert not rep.ok
+    assert rep.violations == [
+        "average length 5.500000 outside [h, h+1) = [2.000000, 3.000000)"]
+
+
+def test_a_huffman_average_within_rounding_of_h_plus_1_is_no_violation():
+    # avg - 1 = 1e-4000 < h, about 1.3e-3996: the bound holds, but as floats
+    # avg is 1.0 and h is 0.0
+    sp = pc.load_space(SPACE_NEAR_CAP)
+    rep = pc.bound_report(sp, pc.build_huffman(sp))
+    assert (rep.average_length, rep.entropy) == (1.0, 0.0)
+    assert rep.ok
 
 
 def test_bound_report_flags_a_trimmed_average_past_h_plus_2():
